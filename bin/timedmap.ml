@@ -22,29 +22,18 @@
 *)
 
 module Rational = Tm_base.Rational
-module Time = Tm_base.Time
 module Interval = Tm_base.Interval
 module Prng = Tm_base.Prng
 module Tseq = Tm_timed.Tseq
 module Condition = Tm_timed.Condition
 module Semantics = Tm_timed.Semantics
 module TA = Tm_core.Time_automaton
-module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module Completeness = Tm_core.Completeness
-module D = Tm_core.Dummify
 module Reach = Tm_zones.Reach
 module Simulator = Tm_sim.Simulator
 module Strategy = Tm_sim.Strategy
-module Measure = Tm_sim.Measure
-module RM = Tm_systems.Resource_manager
-module IM = Tm_systems.Interrupt_manager
-module SR = Tm_systems.Signal_relay
-module F = Tm_systems.Fischer
-module RG = Tm_systems.Request_grant
-module TR = Tm_systems.Token_ring
-module FD = Tm_systems.Failure_detector
-module TS = Tm_systems.Two_stage
+module Registry = Tm_systems.Registry
+module Catalog = Tm_serve.Catalog
 module Progress = Tm_core.Progress
 module Json = Tm_obs.Json
 module Metrics = Tm_obs.Metrics
@@ -74,21 +63,6 @@ type vitem = {
   vi_label : string;
   vi_fingerprint : unit -> string;
   vi_run : resume:string option -> limit:int option -> Reach.exhausted option;
-}
-
-(* A system instance packaged with everything the subcommands need,
-   hiding the state/action types. *)
-type instance = {
-  describe : string;
-  simulate :
-    steps:int -> strategy:string -> seed:int -> unit (* prints *) ->
-    Simulator.stop_reason;
-  check : runs:int -> steps:int -> int (* = number of violations *);
-  vitems : unit -> vitem list;
-  margin : unit -> Json.t list (* prints a table, returns the reports *);
-  map : unit -> unit;
-  exact : unit -> unit;
-  progress : unit -> unit;
 }
 
 (* Graceful-degradation budgets, set by --budget-states / --budget-ms
@@ -128,30 +102,6 @@ let report_unknown what (e : Reach.exhausted) =
     | Some p ->
         Printf.sprintf "\n  checkpoint saved — resume with: timedmap run --resume %s" p)
 
-let make_strategy name seed denominator =
-  match name with
-  | "eager" -> Strategy.eager
-  | "lazy" -> Strategy.lazy_ ~cap:(q 1) ()
-  | "random" ->
-      Strategy.random ~prng:(Prng.create seed) ~denominator ~cap:(q 1)
-  | other -> failwith (Printf.sprintf "unknown strategy %S" other)
-
-(* Simulate, print the timed trace and any condition violations, and
-   hand the stop reason back so the [simulate] command can fail loudly
-   on deadlocks. *)
-let run_simulation (type s a) (aut : (s, a) TA.t)
-    (conds : (s, a) Condition.t list) ~steps ~strategy ~seed ~denominator
-    print =
-  let run =
-    Simulator.simulate ?deadline_s:!budget_s ~steps
-      ~strategy:(make_strategy strategy seed denominator)
-      aut
-  in
-  let seq = Simulator.project run in
-  print aut seq (Semantics.semi_satisfies_all seq conds);
-  Log.info "run stopped: %s" (Simulator.describe_stop run.Simulator.reason);
-  run.Simulator.reason
-
 let print_trace (type s a) (aut : (s, a) TA.t) (seq : (s, a) Tseq.t)
     violations =
   let base = aut.TA.base in
@@ -166,22 +116,50 @@ let print_trace (type s a) (aut : (s, a) TA.t) (seq : (s, a) Tseq.t)
       (fun v -> Format.printf "VIOLATION: %a@." Semantics.pp_violation v)
       violations
 
-let generic_check (type s a) (aut : (s, a) TA.t)
-    (conds : (s, a) Condition.t list) ~runs ~steps ~denominator =
-  (* Seeds dispatch over the pool; run [i] is seeded exactly as the
-     historical sequential loop, so the violation count is identical
-     at any domain count. *)
-  let results =
-    Simulator.batch ~domains:!ndomains ~runs ~steps
-      ~prng:(fun seed -> Prng.create seed)
-      ~strategy:(fun prng -> Strategy.random ~prng ~denominator ~cap:(q 1))
-      aut
-  in
-  Array.fold_left
-    (fun acc run ->
-      acc
-      + List.length (Semantics.semi_satisfies_all (Simulator.project run) conds))
-    0 results
+(* Simulate, print the timed trace and any condition violations, and
+   hand the stop reason back so the [simulate] command can fail loudly
+   on deadlocks. *)
+let run_simulation (pack : Registry.pack) ~steps ~strategy ~seed =
+  match pack.Registry.runs with
+  | Registry.Runs r ->
+      let strategy =
+        match
+          Registry.strategy strategy ~seed ~denominator:r.Registry.denominator
+        with
+        | Ok strategy -> strategy
+        | Error m -> failwith m
+      in
+      let run =
+        Simulator.simulate ?deadline_s:!budget_s ~steps ~strategy
+          r.Registry.impl
+      in
+      let seq = Simulator.project run in
+      print_trace r.Registry.impl seq
+        (Semantics.semi_satisfies_all seq r.Registry.sim_conds);
+      Log.info "run stopped: %s" (Simulator.describe_stop run.Simulator.reason);
+      run.Simulator.reason
+
+let generic_check (pack : Registry.pack) ~runs ~steps =
+  match pack.Registry.runs with
+  | Registry.Runs r ->
+      (* Seeds dispatch over the pool; run [i] is seeded exactly as the
+         historical sequential loop, so the violation count is identical
+         at any domain count. *)
+      let results =
+        Simulator.batch ~domains:!ndomains ~runs ~steps
+          ~prng:(fun seed -> Prng.create seed)
+          ~strategy:(fun prng ->
+            Strategy.random ~prng ~denominator:r.Registry.denominator
+              ~cap:(q 1))
+          r.Registry.impl
+      in
+      Array.fold_left
+        (fun acc run ->
+          acc
+          + List.length
+              (Semantics.semi_satisfies_all (Simulator.project run)
+                 r.Registry.sim_conds))
+        0 results
 
 (* Zone engine selected by --engine on the verify subcommand: the
    production in-place kernel, or the reference kernel for
@@ -191,47 +169,48 @@ let engine : (module Reach.S) ref = ref (module Reach.Default : Reach.S)
 (* Kernel name for provenance; "" until a subcommand selects one. *)
 let engine_name = ref ""
 
-let cond_vitem (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm
-    (c : (s, a) Condition.t) =
+let cond_vitem (type s a) (c : (s, a) Registry.checks)
+    (cond : (s, a) Condition.t) =
+  let name = c.Registry.subject and sys = c.Registry.system in
+  let bm = c.Registry.boundmap in
   {
-    vi_label = Printf.sprintf "%s %s" name c.Condition.cname;
+    vi_label = Printf.sprintf "%s %s" name cond.Condition.cname;
     vi_fingerprint =
       (fun () ->
         let module E = (val !engine) in
-        E.fingerprint_condition sys bm c);
+        E.fingerprint_condition sys bm cond);
     vi_run =
       (fun ~resume ~limit ->
         let module E = (val !engine) in
         match
           E.check_condition ?limit ?deadline_s:!budget_s ~domains:!ndomains
-            ?checkpoint:(ckpt ()) ?resume sys bm c
+            ?checkpoint:(ckpt ()) ?resume sys bm cond
         with
         | Reach.Verified st ->
             Format.printf "%s %s %s: VERIFIED (%d locations, %d zones)@." name
-              c.Condition.cname
-              (Interval.to_string c.Condition.bounds)
+              cond.Condition.cname
+              (Interval.to_string cond.Condition.bounds)
               st.Reach.locations st.Reach.zones;
             None
         | Reach.Lower_violation _ ->
             Format.printf "%s %s: LOWER BOUND VIOLATED@." name
-              c.Condition.cname;
+              cond.Condition.cname;
             None
         | Reach.Upper_violation _ ->
             Format.printf "%s %s: UPPER BOUND VIOLATED@." name
-              c.Condition.cname;
+              cond.Condition.cname;
             None
         | Reach.Unknown e -> Some e
         | Reach.Unsupported m ->
-            Format.printf "%s %s: unsupported (%s)@." name c.Condition.cname m;
+            Format.printf "%s %s: unsupported (%s)@." name cond.Condition.cname
+              m;
             None);
   }
 
-let cond_vitems name sys bm conds = List.map (cond_vitem name sys bm) conds
-
-(* A state-invariant check as a verification item; [ok]/[bad] print the
-   system-specific verdict lines. *)
-let inv_vitem (type s a) label (sys : (s, a) Tm_ioa.Ioa.t) bm
-    (pred : s -> bool) ~ok ~bad =
+(* A state-invariant check as a verification item. *)
+let inv_vitem (type s a) (c : (s, a) Registry.checks) ~label ~holds ~violated
+    =
+  let sys = c.Registry.system and bm = c.Registry.boundmap in
   {
     vi_label = label;
     vi_fingerprint =
@@ -243,16 +222,50 @@ let inv_vitem (type s a) label (sys : (s, a) Tm_ioa.Ioa.t) bm
         let module E = (val !engine) in
         match
           E.check_state_invariant ?limit ?deadline_s:!budget_s
-            ~domains:!ndomains ?checkpoint:(ckpt ()) ?resume sys bm pred
+            ~domains:!ndomains ?checkpoint:(ckpt ()) ?resume sys bm holds
         with
         | Ok st ->
-            ok st;
+            Format.printf "%s: VERIFIED (%d zones)@." label st.Reach.zones;
             None
         | Error s ->
-            bad s;
+            Format.printf "%s: %s at %a@." label violated sys.Tm_ioa.Ioa.pp_state
+              s;
             None
         | exception Reach.Out_of_budget e -> Some e);
   }
+
+(* The contrast check is informational: it runs without budgets or
+   checkpoints, so its fingerprint never matches a resume file. *)
+let contrast_vitem (type s a) (c : (s, a) Registry.checks)
+    (x : (s, a) Registry.contrast) =
+  {
+    vi_label = x.Registry.heading;
+    vi_fingerprint = (fun () -> "informational:" ^ x.Registry.heading);
+    vi_run =
+      (fun ~resume:_ ~limit:_ ->
+        let module E = (val !engine) in
+        Format.printf "%s: %s@." x.Registry.heading
+          (match
+             E.check_condition ~domains:!ndomains c.Registry.system
+               c.Registry.boundmap x.Registry.weakened
+           with
+          | Reach.Upper_violation _ -> x.Registry.if_violated
+          | Reach.Verified _ -> x.Registry.if_verified
+          | _ -> "other");
+        None);
+  }
+
+(* The pack's verification items, then its contrast check if any. *)
+let vitems (pack : Registry.pack) =
+  match pack.Registry.checks with
+  | Registry.Checks c ->
+      List.map
+        (function
+          | Registry.Cond cond -> cond_vitem c cond
+          | Registry.Inv { label; holds; violated } ->
+              inv_vitem c ~label ~holds ~violated)
+        c.Registry.props
+      @ Option.to_list (Option.map (contrast_vitem c) c.Registry.contrast)
 
 (* Plain [verify]: run the items in order with the global budgets.  An
    exhaustion that left a checkpoint behind (or a cooperative
@@ -370,17 +383,8 @@ let supervise_items ~attempts ~backoff_s ~resume items =
         run_supervised ~attempts ~backoff_s it ~resume0)
     items
 
-let show_progress (type s a) (aut : (s, a) TA.t) () =
-  Format.printf "%a@." Progress.pp_report (Progress.analyze aut)
-
 (* ------------------------------------------------------------------ *)
 (* robustness margins *)
-
-(* A property the margin analysis quantifies over: a timing condition
-   checked by the observer construction, or a plain state invariant. *)
-type ('s, 'a) prop =
-  | Pcond of ('s, 'a) Condition.t
-  | Pinv of string * ('s -> bool)
 
 let print_margin_report (r : Margin.report) =
   Format.printf "%s@." r.Margin.subject;
@@ -398,38 +402,28 @@ let print_margin_report (r : Margin.report) =
   | Some c -> Format.printf "  critical class: %s@." c
   | None -> Format.printf "  critical class: none (all margins censored)@."
 
-let margin_reports (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm
-    (props : (s, a) prop list) () =
+let margin_reports (pack : Registry.pack) =
   (* Margin probes perturb bounds to non-integer rationals; a forced
      int kernel must be pinned back onto the rational kernel here. *)
   let module E = (val Margin.probe_engine ~name:!engine_name !engine) in
-  List.map
-    (fun prop ->
-      let subject, check =
-        match prop with
-        | Pcond (c : (s, a) Condition.t) ->
-            ( Printf.sprintf "%s %s %s" name c.Condition.cname
-                (Interval.to_string c.Condition.bounds),
-              fun bm' ->
-                Margin.condition_status
-                  (module E)
-                  ?limit:!budget_states ?deadline_s:!budget_s sys c bm' )
-        | Pinv (iname, pred) ->
-            ( Printf.sprintf "%s %s (invariant)" name iname,
-              fun bm' ->
-                Margin.invariant_status
-                  (module E)
-                  ?limit:!budget_states ?deadline_s:!budget_s sys pred bm' )
-      in
-      let r = Margin.report ~domains:!ndomains ~subject ~check bm in
-      if !margin_table then print_margin_report r;
-      (match (r.Margin.overall : (Margin.verdict, string) result) with
-      | Error m when not (String.equal m "refuted with no perturbation (e = 0)")
-        ->
-          had_unknown := true
-      | Ok _ | Error _ -> ());
-      Margin.to_json r)
-    props
+  match pack.Registry.checks with
+  | Registry.Checks c ->
+      List.map
+        (fun prop ->
+          let r =
+            Catalog.margin_report
+              (module E)
+              ?limit:!budget_states ?deadline_s:!budget_s ~domains:!ndomains c
+              prop
+          in
+          if !margin_table then print_margin_report r;
+          (match (r.Margin.overall : (Margin.verdict, string) result) with
+          | Error m
+            when not (String.equal m "refuted with no perturbation (e = 0)") ->
+              had_unknown := true
+          | Ok _ | Error _ -> ());
+          Margin.to_json r)
+        c.Registry.props
 
 (* ------------------------------------------------------------------ *)
 (* budget-aware exact analysis *)
@@ -476,408 +470,6 @@ let bounded_analyze ~source ~conds () =
          build: same verdict, just detected later. *)
       raise (Exact_unknown "graph truncated mid-analysis — budget exhausted")
 
-let rm_instance ~k ~c1 ~c2 ~l =
-  let p = RM.params_of_ints ~k ~c1 ~c2 ~l in
-  let impl = RM.impl p in
-  let conds = [ RM.g1 p; RM.g2 p ] in
-  {
-    describe =
-      Printf.sprintf
-        "resource manager (Section 4): k=%d c1=%d c2=%d l=%d; G1=%s G2=%s" k
-        c1 c2 l
-        (Interval.to_string (RM.grant_interval_first p))
-        (Interval.to_string (RM.grant_interval_between p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl conds ~steps ~strategy ~seed ~denominator:4
-          print_trace);
-    check =
-      (fun ~runs ~steps -> generic_check impl conds ~runs ~steps ~denominator:4);
-    vitems = (fun () -> cond_vitems "manager" (RM.system p) (RM.boundmap p) conds);
-    margin =
-      margin_reports "manager" (RM.system p) (RM.boundmap p)
-        [ Pcond (RM.g1 p); Pcond (RM.g2 p) ];
-    map =
-      (fun () ->
-        match
-          Mapping.check_exhaustive ~source:impl ~target:(RM.spec p)
-            (RM.mapping p) ()
-        with
-        | Ok st ->
-            Format.printf
-              "Lemma 4.3 mapping: OK (%d product states, %d edges)@."
-              st.Mapping.product_states st.Mapping.product_edges
-        | Error e ->
-            Format.printf "Lemma 4.3 mapping: FAILED@.  %a@."
-              (Mapping.pp_failure impl) e);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| RM.g1 p; RM.g2 p |] ()
-        in
-        let lo, hi = Completeness.start_bounds a ~cond:0 in
-        Format.printf "first GRANT:      exact [%a, %a], paper %s@." Time.pp
-          lo Time.pp hi
-          (Interval.to_string (RM.grant_interval_first p));
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = RM.Grant)
-            ~cond:1
-        with
-        | Some (lo, hi) ->
-            Format.printf "between GRANTs:   exact [%a, %a], paper %s@."
-              Time.pp lo Time.pp hi
-              (Interval.to_string (RM.grant_interval_between p))
-        | None -> Format.printf "no GRANT edges reachable@.");
-    progress = show_progress impl;
-  }
-
-let im_instance ~k ~c1 ~c2 ~l =
-  let p = IM.params_of_ints ~k ~c1 ~c2 ~l in
-  let impl = IM.impl p in
-  let conds = [ IM.g1 p; IM.g2 p ] in
-  {
-    describe =
-      Printf.sprintf
-        "interrupt-driven manager (footnote 7): k=%d c1=%d c2=%d l=%d" k c1
-        c2 l;
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl conds ~steps ~strategy ~seed ~denominator:4
-          print_trace);
-    check =
-      (fun ~runs ~steps -> generic_check impl conds ~runs ~steps ~denominator:4);
-    vitems =
-      (fun () -> cond_vitems "interrupt" (IM.system p) (IM.boundmap p) conds);
-    margin =
-      margin_reports "interrupt" (IM.system p) (IM.boundmap p)
-        [ Pcond (IM.g1 p); Pcond (IM.g2 p) ];
-    map = (fun () -> Format.printf "no paper mapping for this variant@.");
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| IM.g1 p; IM.g2 p |] ()
-        in
-        let lo, hi = Completeness.start_bounds a ~cond:0 in
-        Format.printf "first GRANT:    exact [%a, %a], predicted %s@." Time.pp
-          lo Time.pp hi
-          (Interval.to_string (IM.grant_interval_first p));
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = IM.Grant)
-            ~cond:1
-        with
-        | Some (lo, hi) ->
-            Format.printf "between GRANTs: exact [%a, %a], predicted %s@."
-              Time.pp lo Time.pp hi
-              (Interval.to_string (IM.grant_interval_between p))
-        | None -> Format.printf "no GRANT edges reachable@.");
-    progress = show_progress impl;
-  }
-
-let relay_instance ~n ~d1 ~d2 =
-  let p = SR.params_of_ints ~n ~d1 ~d2 in
-  let impl = SR.impl p in
-  let conds = List.init n (fun k -> SR.u_cond p ~k) in
-  let u_line =
-    Condition.make ~name:"U(0,n)"
-      ~t_step:(fun _ a _ -> a = SR.Signal 0)
-      ~bounds:(SR.delay_interval p)
-      ~in_pi:(fun a -> a = SR.Signal n)
-      ()
-  in
-  {
-    describe =
-      Printf.sprintf "signal relay (Section 6): n=%d d1=%d d2=%d; U(0,n)=%s"
-        n d1 d2
-        (Interval.to_string (SR.delay_interval p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl conds ~steps ~strategy ~seed ~denominator:2
-          print_trace);
-    check =
-      (fun ~runs ~steps -> generic_check impl conds ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () -> cond_vitems "relay" (SR.line p) (SR.boundmap p) [ u_line ]);
-    margin =
-      margin_reports "relay" (SR.line p) (SR.boundmap p) [ Pcond u_line ];
-    map =
-      (fun () ->
-        match Hierarchy.check_exhaustive ~source:impl ~levels:(SR.chain p) () with
-        | Ok st ->
-            Format.printf
-              "Corollary 6.3 hierarchy (%d levels): OK (%d product states)@."
-              (List.length (SR.chain p))
-              st.Mapping.product_states
-        | Error e ->
-            Format.printf "hierarchy FAILED at level %d (%s)@."
-              e.Hierarchy.level_index e.Hierarchy.level_name);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| SR.u_cond p ~k:0 |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = D.Base (SR.Signal 0))
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "delay: exact [%a, %a], paper %s@." Time.pp lo
-              Time.pp hi
-              (Interval.to_string (SR.delay_interval p))
-        | None -> Format.printf "SIGNAL_0 unreachable@.");
-    progress = show_progress impl;
-  }
-
-let fischer_instance ~n ~a ~b =
-  let p =
-    F.params_of_ints ~n ~r:2 ~t:1 ~a ~b ~b2:(b + 1) ~e:2
-  in
-  let impl = F.impl p in
-  {
-    describe =
-      Printf.sprintf "Fischer mutual exclusion: n=%d a=%d b=%d (safe iff a<b)"
-        n a b;
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ F.u_enter p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ F.u_enter p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        inv_vitem "mutual exclusion" (F.system p) (F.boundmap p)
-          F.mutual_exclusion
-          ~ok:(fun st ->
-            Format.printf "mutual exclusion: VERIFIED (%d zones)@."
-              st.Reach.zones)
-          ~bad:(fun s ->
-            Format.printf "mutual exclusion: VIOLATED at %a@."
-              (F.system p).Tm_ioa.Ioa.pp_state s)
-        :: cond_vitems "fischer" (F.system p) (F.boundmap p) [ F.u_enter p ]);
-    margin =
-      margin_reports "fischer" (F.system p) (F.boundmap p)
-        [ Pinv ("mutual exclusion", F.mutual_exclusion); Pcond (F.u_enter p) ];
-    map = (fun () -> Format.printf "no paper mapping for this system@.");
-    exact = (fun () -> Format.printf "exact analysis not wired for fischer@.");
-    progress = show_progress impl;
-  }
-
-let rg_instance ~r1 ~r2 ~w1 ~w2 =
-  let p = RG.params_of_ints ~r1 ~r2 ~w1 ~w2 in
-  let impl = RG.impl p in
-  {
-    describe =
-      Printf.sprintf
-        "request-grant (conclusions): REQ every [%d,%d], RESP within [%d,%d]"
-        r1 r2 w1 w2;
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ RG.u_response p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ RG.u_response p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        (* The deliberately-failing variant is informational: it runs
-           without budgets or checkpoints, so its fingerprint never
-           matches a resume file. *)
-        let extra =
-          {
-            vi_label = "request-grant without-disable";
-            vi_fingerprint = (fun () -> "informational:without-disable");
-            vi_run =
-              (fun ~resume:_ ~limit:_ ->
-                let module E = (val !engine) in
-                (match
-                   E.check_condition ~domains:!ndomains (RG.system p)
-                     (RG.boundmap p)
-                     (RG.u_response_no_disable p)
-                 with
-                | Reach.Upper_violation _ ->
-                    Format.printf
-                      "without the disabling set: UPPER BOUND VIOLATED (as \
-                       designed)@."
-                | Reach.Verified _ ->
-                    Format.printf
-                      "without the disabling set: verified (requests are \
-                       spaced out)@."
-                | _ -> Format.printf "without the disabling set: other@.");
-                None);
-          }
-        in
-        cond_vitems "request-grant" (RG.system p) (RG.boundmap p)
-          [ RG.u_response p ]
-        @ [ extra ]);
-    margin =
-      margin_reports "request-grant" (RG.system p) (RG.boundmap p)
-        [ Pcond (RG.u_response p) ];
-    map = (fun () -> Format.printf "no paper mapping for this system@.");
-    exact = (fun () -> Format.printf "exact analysis not wired for request-grant@.");
-    progress = show_progress impl;
-  }
-
-let ring_instance ~n ~d1 ~d2 =
-  let p = TR.params_of_ints ~n ~d1 ~d2 in
-  let impl = TR.impl p in
-  {
-    describe =
-      Printf.sprintf "token ring: n=%d, hop [%d,%d], rotation %s" n d1 d2
-        (Interval.to_string (TR.rotation_interval p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ TR.u_rotation p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ TR.u_rotation p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        cond_vitems "ring" (TR.system p) (TR.boundmap p) [ TR.u_rotation p ]);
-    margin =
-      margin_reports "ring" (TR.system p) (TR.boundmap p)
-        [ Pcond (TR.u_rotation p) ];
-    map =
-      (fun () ->
-        match
-          Hierarchy.check_exhaustive ~source:impl ~levels:(TR.chain p) ()
-        with
-        | Ok st ->
-            Format.printf "ring hierarchy: OK (%d product states)@."
-              st.Mapping.product_states
-        | Error e ->
-            Format.printf "ring hierarchy FAILED at level %d (%s)@."
-              e.Hierarchy.level_index e.Hierarchy.level_name);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| TR.u_rotation p |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = TR.Pass 0)
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "rotation: exact [%a, %a], predicted %s@." Time.pp
-              lo Time.pp hi
-              (Interval.to_string (TR.rotation_interval p))
-        | None -> Format.printf "no rotations reachable@.");
-    progress = show_progress impl;
-  }
-
-let fd_instance ~g1 ~g2 ~m =
-  let p = FD.params_of_ints ~h1:1 ~h2:2 ~g1 ~g2 ~m in
-  let impl = FD.impl p in
-  {
-    describe =
-      Printf.sprintf
-        "failure detector: hb [1,2], poll [%d,%d], m=%d; detection %s%s" g1
-        g2 m
-        (Interval.to_string (FD.detection_interval p))
-        (if FD.accurate p then "" else " (INACCURATE regime)");
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ FD.u_detect p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ FD.u_detect p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        inv_vitem "accuracy" (FD.system p) (FD.boundmap p)
-          FD.no_false_suspicion
-          ~ok:(fun st ->
-            Format.printf "accuracy: VERIFIED (%d zones)@." st.Reach.zones)
-          ~bad:(fun s ->
-            Format.printf "accuracy: false suspicion reachable at %a@."
-              (FD.system p).Tm_ioa.Ioa.pp_state s)
-        :: cond_vitems "detector" (FD.system p) (FD.boundmap p)
-             [ FD.u_detect p ]);
-    margin =
-      margin_reports "detector" (FD.system p) (FD.boundmap p)
-        [
-          Pinv ("accuracy", FD.no_false_suspicion); Pcond (FD.u_detect p);
-        ];
-    map = (fun () -> Format.printf "no paper mapping for this system@.");
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| FD.u_detect p |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = FD.Crash)
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "detection: exact [%a, %a], predicted %s@." Time.pp
-              lo Time.pp hi
-              (Interval.to_string (FD.detection_interval p))
-        | None -> Format.printf "no crashes reachable@.");
-    progress = show_progress impl;
-  }
-
-let two_stage_instance () =
-  let p = TS.params_of_ints ~p1:1 ~p2:3 ~q1:1 ~q2:2 ~r1:2 ~r2:4 in
-  let impl = TS.impl p in
-  {
-    describe =
-      Printf.sprintf "chained trigger (Sec. 8): end-to-end %s"
-        (Interval.to_string (TS.end_to_end_interval p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl
-          [ TS.u_start_mid p; TS.u_mid_done p; TS.u_end_to_end p ]
-          ~steps ~strategy ~seed ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl
-          [ TS.u_start_mid p; TS.u_mid_done p; TS.u_end_to_end p ]
-          ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        cond_vitems "two-stage" (TS.system p) (TS.boundmap p)
-          [ TS.u_start_mid p; TS.u_mid_done p; TS.u_end_to_end p ]);
-    margin =
-      margin_reports "two-stage" (TS.system p) (TS.boundmap p)
-        [
-          Pcond (TS.u_start_mid p);
-          Pcond (TS.u_mid_done p);
-          Pcond (TS.u_end_to_end p);
-        ];
-    map =
-      (fun () ->
-        match
-          Hierarchy.check_exhaustive ~source:impl ~levels:(TS.chain p) ()
-        with
-        | Ok st ->
-            Format.printf "stage hierarchy: OK (%d product states)@."
-              st.Mapping.product_states
-        | Error e ->
-            Format.printf "stage hierarchy FAILED at level %d (%s)@."
-              e.Hierarchy.level_index e.Hierarchy.level_name);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| TS.u_end_to_end p |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = TS.Start)
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "end-to-end: exact [%a, %a], predicted %s@."
-              Time.pp lo Time.pp hi
-              (Interval.to_string (TS.end_to_end_interval p))
-        | None -> Format.printf "no Start edges reachable@.");
-    progress = show_progress impl;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing *)
 
@@ -885,32 +477,18 @@ open Cmdliner
 
 let system_arg =
   let doc =
-    "System to analyze: rm (resource manager), im (interrupt-driven \
-     manager), relay, fischer, rg (request-grant), ring (token ring), fd \
-     (failure detector), two (chained trigger)."
+    "System to analyze: "
+    ^ String.concat ", "
+        (List.map
+           (fun e -> Printf.sprintf "%s (%s)" e.Registry.name e.Registry.title)
+           Registry.systems)
+    ^ "."
   in
   Arg.(value & opt string "rm" & info [ "system"; "S" ] ~docv:"SYSTEM" ~doc)
 
-let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~doc:"ticks per grant")
-let c1_arg = Arg.(value & opt int 2 & info [ "c1" ] ~doc:"clock lower bound")
-let c2_arg = Arg.(value & opt int 3 & info [ "c2" ] ~doc:"clock upper bound")
-let l_arg = Arg.(value & opt int 1 & info [ "l" ] ~doc:"local-step bound")
-let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~doc:"line length / processes")
-let d1_arg = Arg.(value & opt int 1 & info [ "d1" ] ~doc:"per-hop lower bound")
-let d2_arg = Arg.(value & opt int 2 & info [ "d2" ] ~doc:"per-hop upper bound")
-let a_arg = Arg.(value & opt int 1 & info [ "a" ] ~doc:"fischer write deadline")
-let b_arg = Arg.(value & opt int 2 & info [ "b" ] ~doc:"fischer check delay")
 let steps_arg = Arg.(value & opt int 60 & info [ "steps" ] ~doc:"steps to simulate")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed")
 let runs_arg = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"number of runs")
-
-let g1_arg ~default =
-  Arg.(value & opt int default & info [ "g1" ] ~doc:"poll gap lower bound")
-
-let g2_arg = Arg.(value & opt int 3 & info [ "g2" ] ~doc:"poll gap upper bound")
-
-let m_arg ~default =
-  Arg.(value & opt int default & info [ "m" ] ~doc:"misses before suspicion")
 
 let strategy_arg =
   Arg.(
@@ -1078,33 +656,44 @@ let with_obs name o f =
       finish ();
       raise e
 
-let build_instance system k c1 c2 l n d1 d2 a b g1 g2 m =
-  match system with
-  | "rm" -> rm_instance ~k ~c1 ~c2 ~l
-  | "im" -> im_instance ~k ~c1 ~c2 ~l
-  | "relay" -> relay_instance ~n ~d1 ~d2
-  (* LU extrapolation + the int kernel keep fischer tractable well past
-     the old n=3 cap; n=5 completes in CI, n=6 is the safety stop. *)
-  | "fischer" -> fischer_instance ~n:(max 2 (min n 6)) ~a ~b
-  | "rg" -> rg_instance ~r1:2 ~r2:5 ~w1:1 ~w2:3
-  | "ring" -> ring_instance ~n ~d1 ~d2
-  | "fd" -> fd_instance ~g1 ~g2 ~m
-  | "two" -> two_stage_instance ()
-  | other -> failwith (Printf.sprintf "unknown system %S" other)
-
-(* The failure-detector defaults differ per subcommand: [verify] wants
-   the safe regime (g1=2, m=2, accuracy via the m>=2 clause), while
-   [margin] wants the single-miss detector (g1=3, m=1) whose accuracy
-   margin is the exact slack g1 - h2 of the paper's analysis. *)
-let instance_term_with ~g1_default ~m_default =
-  Term.(
-    const build_instance $ system_arg $ k_arg $ c1_arg $ c2_arg $ l_arg
-    $ n_arg $ d1_arg $ d2_arg $ a_arg $ b_arg
-    $ g1_arg ~default:g1_default
-    $ g2_arg
-    $ m_arg ~default:m_default)
-
-let instance_term = instance_term_with ~g1_default:2 ~m_default:2
+(* The system named by --system, built from the registry.  Each knob
+   flag is optional: an absent flag takes the registry's default for
+   that system ([margin] selects the margin defaults). *)
+let pack_term ~margin =
+  let knob_arg (kn : Registry.knob) =
+    let overrides =
+      List.filter_map
+        (fun e ->
+          Option.map
+            (fun v -> Printf.sprintf "%d for %s" v e.Registry.name)
+            (List.assoc_opt kn.Registry.key e.Registry.margin_defaults))
+        Registry.systems
+    in
+    let absent =
+      String.concat ", "
+        (string_of_int kn.Registry.default
+        :: (if margin then overrides else []))
+    in
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ kn.Registry.key ] ~doc:kn.Registry.doc ~absent)
+  in
+  let given =
+    List.fold_right
+      (fun kn rest ->
+        Term.(
+          const (fun v rest ->
+              match v with Some v -> (kn.Registry.key, v) :: rest | None -> rest)
+          $ knob_arg kn $ rest))
+      Registry.knobs (Term.const [])
+  in
+  let build system given =
+    let ok = function Ok v -> v | Error m -> failwith m in
+    let e = ok (Registry.find system) in
+    e.Registry.build (ok (Registry.resolve ~margin e given))
+  in
+  Term.(const build $ system_arg $ given)
 
 (* Budget flags shared by the exploring subcommands.  The term's value
    is unit: evaluating it stores the budgets in the globals the
@@ -1156,12 +745,12 @@ let domains_term =
   Term.(const mk $ arg)
 
 let simulate_cmd =
-  let run inst steps strategy seed () () obs =
+  let run pack steps strategy seed () () obs =
     let reason =
       with_obs "simulate" obs (fun () ->
-          Format.printf "%s@." inst.describe;
+          Format.printf "%s@." pack.Registry.describe;
           Log.debug "strategy=%s seed=%d steps=%d" strategy seed steps;
-          inst.simulate ~steps ~strategy ~seed ())
+          run_simulation pack ~steps ~strategy ~seed)
     in
     match reason with
     | Simulator.Deadlock ->
@@ -1184,15 +773,15 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate a system and print the timed trace")
     Term.(
-      const run $ instance_term $ steps_arg $ strategy_arg $ seed_arg
+      const run $ pack_term ~margin:false $ steps_arg $ strategy_arg $ seed_arg
       $ budget_term $ domains_term $ obs_term)
 
 let check_cmd =
-  let run inst runs steps () obs =
+  let run pack runs steps () obs =
     let v =
       with_obs "check" obs (fun () ->
-          Format.printf "%s@." inst.describe;
-          inst.check ~runs ~steps)
+          Format.printf "%s@." pack.Registry.describe;
+          generic_check pack ~runs ~steps)
     in
     Format.printf "%d runs x %d steps: %d violations@." runs steps v;
     if v > 0 then exit 1
@@ -1201,32 +790,30 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Simulate many seeds and check the timing conditions")
     Term.(
-      const run $ instance_term $ runs_arg $ steps_arg $ domains_term
+      const run $ pack_term ~margin:false $ runs_arg $ steps_arg $ domains_term
       $ obs_term)
 
-let simple_cmd name ~doc select =
-  let run inst obs =
+let simple_cmd name ~doc report =
+  let run pack obs =
     with_obs name obs (fun () ->
-        Format.printf "%s@." inst.describe;
-        select inst ())
+        Format.printf "%s@." pack.Registry.describe;
+        report pack)
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ instance_term $ obs_term)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ pack_term ~margin:false $ obs_term)
 
 let engine_arg =
   let engine_conv =
-    let parse = function
-      | ("auto" | "int" | "fast" | "ref" | "paranoid") as name -> Ok name
-      | other ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "unknown engine %S (auto | int | fast | ref | paranoid)"
-                 other))
+    let parse name =
+      match Reach.engine_of_name name with
+      | Ok e -> Ok (name, e)
+      | Error m -> Error (`Msg m)
     in
-    Arg.conv (parse, Format.pp_print_string)
+    Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
   in
   Arg.(
-    value & opt engine_conv "auto"
+    value
+    & opt engine_conv ("auto", (module Reach.Auto : Reach.S))
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "DBM kernel for zone exploration: $(b,auto) (default: the \
@@ -1240,18 +827,9 @@ let engine_arg =
            the reference kernel). All run the identical exploration \
            and must agree.")
 
-let set_engine name =
+let set_engine (name, e) =
   engine_name := name;
-  match name with
-  | "int" -> engine := (module Reach.Int : Reach.S)
-  | "fast" -> engine := (module Reach.Default : Reach.S)
-  | "ref" -> engine := (module Reach.Ref : Reach.S)
-  | "paranoid" ->
-      if Tm_recover.Paranoid.every () = 0 then Tm_recover.Paranoid.set_every 64;
-      engine := (module Reach.Paranoid : Reach.S)
-  | _ ->
-      engine_name := "auto";
-      engine := (module Reach.Auto : Reach.S)
+  engine := e
 
 (* Checkpoint flags shared by verify/run; like [budget_term] the value
    is unit and evaluation stores the policy in globals. *)
@@ -1292,17 +870,17 @@ let recover_term =
   Term.(const mk $ ck_arg $ every_arg $ selfcheck_arg)
 
 let verify_cmd =
-  let run inst ename () () () obs =
-    set_engine ename;
+  let run pack e () () () obs =
+    set_engine e;
     with_obs "verify" obs (fun () ->
-        Format.printf "%s@." inst.describe;
-        Supervisor.graceful (fun () -> verify_items (inst.vitems ())));
+        Format.printf "%s@." pack.Registry.describe;
+        Supervisor.graceful (fun () -> verify_items (vitems pack)));
     if !had_unknown then exit 4
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Exact zone-based verification")
     Term.(
-      const run $ instance_term $ engine_arg $ budget_term $ domains_term
+      const run $ pack_term ~margin:false $ engine_arg $ budget_term $ domains_term
       $ recover_term $ obs_term)
 
 let run_cmd =
@@ -1335,8 +913,8 @@ let run_cmd =
             "Base delay before the first retry; doubles on each \
              further retry.")
   in
-  let run inst ename resume attempts backoff_ms () () () obs =
-    set_engine ename;
+  let run pack e resume attempts backoff_ms () () () obs =
+    set_engine e;
     if attempts < 1 then failwith "--attempts must be >= 1";
     if backoff_ms < 0. then failwith "--backoff-ms must be >= 0";
     (* Keep saving progress to the file we resumed from, unless the
@@ -1345,10 +923,10 @@ let run_cmd =
     | None, Some path -> checkpoint_path := Some path
     | _ -> ());
     with_obs "run" obs (fun () ->
-        Format.printf "%s@." inst.describe;
+        Format.printf "%s@." pack.Registry.describe;
         Supervisor.graceful (fun () ->
             supervise_items ~attempts ~backoff_s:(backoff_ms /. 1000.) ~resume
-              (inst.vitems ())));
+              (vitems pack)));
     if !had_unknown then exit 4
   in
   Cmd.v
@@ -1358,7 +936,7 @@ let run_cmd =
           exponential backoff, per-attempt budgets chained through \
           checkpoints, resumable after interrupts")
     Term.(
-      const run $ instance_term $ engine_arg $ resume_arg $ attempts_arg
+      const run $ pack_term ~margin:false $ engine_arg $ resume_arg $ attempts_arg
       $ backoff_arg $ budget_term $ domains_term $ recover_term $ obs_term)
 
 let margin_cmd =
@@ -1370,13 +948,13 @@ let margin_cmd =
             "Print the reports as a JSON array on stdout instead of \
              tables.")
   in
-  let run inst e json () () obs =
+  let run pack e json () () obs =
     set_engine e;
     margin_table := not json;
     let reports =
       with_obs "margin" obs (fun () ->
-          if not json then Format.printf "%s@." inst.describe;
-          inst.margin ())
+          if not json then Format.printf "%s@." pack.Registry.describe;
+          margin_reports pack)
     in
     if json then Format.printf "%s@." (Json.to_string (Json.List reports));
     if !had_unknown then exit 4
@@ -1388,33 +966,45 @@ let margin_cmd =
           each property survives, per class and overall")
     Term.(
       const run
-      $ instance_term_with ~g1_default:3 ~m_default:1
+      $ pack_term ~margin:true
       $ engine_arg $ json_arg $ budget_term $ domains_term $ obs_term)
 
 let map_cmd =
   simple_cmd "map" ~doc:"Check the paper's strong possibilities mappings"
-    (fun i -> i.map)
+    (fun pack ->
+      match pack.Registry.runs with
+      | Registry.Runs r -> r.Registry.map Format.std_formatter)
 
 let exact_cmd =
-  let run inst () obs =
+  let run pack () obs =
     with_obs "exact" obs (fun () ->
-        Format.printf "%s@." inst.describe;
-        match inst.exact () with
-        | () -> ()
-        | exception Exact_unknown m ->
-            had_unknown := true;
-            Format.printf "exact: UNKNOWN — %s@." m);
+        Format.printf "%s@." pack.Registry.describe;
+        match pack.Registry.runs with
+        | Registry.Runs r -> (
+            match
+              r.Registry.exact
+                ~analyze:(fun conds ->
+                  bounded_analyze ~source:r.Registry.impl ~conds ())
+                Format.std_formatter
+            with
+            | () -> ()
+            | exception Exact_unknown m ->
+                had_unknown := true;
+                Format.printf "exact: UNKNOWN — %s@." m));
     if !had_unknown then exit 4
   in
   Cmd.v
     (Cmd.info "exact"
        ~doc:"Exact first-occurrence windows from the discretized graph")
-    Term.(const run $ instance_term $ budget_term $ obs_term)
+    Term.(const run $ pack_term ~margin:false $ budget_term $ obs_term)
 
 let progress_cmd =
   simple_cmd "progress"
-    ~doc:"Deadlock and Zeno-trap (time divergence) analysis" (fun i ->
-      i.progress)
+    ~doc:"Deadlock and Zeno-trap (time divergence) analysis" (fun pack ->
+      match pack.Registry.runs with
+      | Registry.Runs r ->
+          Format.printf "%a@." Progress.pp_report
+            (Progress.analyze r.Registry.impl))
 
 let obs_cmd =
   let file_arg =
@@ -1686,7 +1276,7 @@ let serve_cmd =
              only.")
   in
   let run socket state_dir queue max_states max_deadline_ms attempts workers
-      quarantine_after hb_timeout_ms chaos_ms ename () obs =
+      quarantine_after hb_timeout_ms chaos_ms (ename, _) () obs =
     if queue < 0 then failwith "--queue must be >= 0";
     if max_states < 1 then failwith "--max-states must be >= 1";
     if attempts < 1 then failwith "--attempts must be >= 1";

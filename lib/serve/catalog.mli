@@ -5,7 +5,7 @@
 
     {v
     { "op": "verify" | "margin" | "simulate",
-      "system": "rm"|"im"|"relay"|"fischer"|"rg"|"ring"|"fd"|"two",
+      "system": "rm"|"im"|"relay"|...,         // a Tm_systems.Registry entry
       "params": { "n": 3, "a": 1, ... },      // system knobs, all optional
       "item": 0,                               // verify: which check
       "engine": "auto"|"int"|"fast"|"ref"|"paranoid",
@@ -23,8 +23,11 @@
     exactly} the [Tm_zones.Reach] checkpoint fingerprint (kernel,
     widening mode, boundmap, condition/invariant encoding), so cache
     entries and checkpoint files agree on identity.  Margin and
-    simulation fingerprints extend it with every input that can change
-    the answer (props and budgets; steps/strategy/seed/deadline). *)
+    simulation fingerprints name the system and its canonical parameter
+    form ({!Tm_systems.Registry.canonical}) plus every other input that
+    can change the answer (the pinned engine and budgets;
+    steps/strategy/seed/deadline), so parameter order and spelled-out
+    defaults do not matter, and any differing parameter does. *)
 
 module Reach = Tm_zones.Reach
 
@@ -53,5 +56,14 @@ val of_request :
 (** [default_engine] (default ["auto"]) applies when the request names
     none. *)
 
-val systems : string list
-(** Known system names, for error messages and docs. *)
+val margin_report :
+  (module Reach.S) ->
+  ?limit:int ->
+  ?deadline_s:float ->
+  domains:int ->
+  ('s, 'a) Tm_systems.Registry.checks ->
+  ('s, 'a) Tm_systems.Registry.prop ->
+  Tm_faults.Margin.report
+(** The robustness margin of one property of a registry system, with
+    the subject line both the daemon's documents and the CLI's tables
+    print. *)

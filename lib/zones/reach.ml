@@ -71,22 +71,6 @@ let lu_disabled () =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-(* Zone-storage ablation toggle, read per exploration like TM_NO_LU.
-   [arena] (default): scratches are probed in place against the
-   hash-consed store and only copied — into bump arenas — on a genuine
-   miss.  [heap]: probe in place but freeze misses to the minor heap
-   (isolates the probe-in-place win from the arena win).  [seed]: the
-   pre-arena path — freeze a copy first, intern it afterwards.  All
-   three store the same zones in the same order by construction; e17
-   measures the allocation difference and CI pins the agreement. *)
-type store_mode = Store_arena | Store_heap | Store_seed
-
-let store_mode () =
-  match Sys.getenv_opt "TM_STORE" with
-  | Some "heap" -> Store_heap
-  | Some "seed" -> Store_seed
-  | _ -> Store_arena
-
 module type S = sig
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
@@ -385,8 +369,7 @@ module Make (K : Dbm_sig.S) : S = struct
     (* One shared satisfiability probe over [scr]: building the partial
        application here keeps the per-edge [observe] call closure-free. *)
     let sat_scr i j b = K.Scratch.sat scr i j b in
-    let smode = store_mode () in
-    (* The main arena holds every stored zone's payload (arena mode).
+    (* The main arena holds every stored zone's payload.
        It is never reset: everything frozen into it on the sequential
        path, or copied into it by the commit loop, is a stored zone. *)
     let arena = K.Arena.create () in
@@ -552,57 +535,35 @@ module Make (K : Dbm_sig.S) : S = struct
         Metrics.set_max g_waiting_max (float_of_int !waiting)
       end
     in
-    (* Sequential path: the surviving successor is still in [scr].
-       Arena/heap modes hash and probe it in place — a hit never copies
-       the matrix at all; a miss freezes exactly once (into the main
-       arena, or the heap).  Seed mode keeps the pre-arena discipline:
-       freeze a copy first, intern it afterwards. *)
+    (* Sequential path: the surviving successor is still in [scr].  It
+       is hashed and probed in place — a hit never copies the matrix at
+       all; a miss freezes exactly once, into the main arena. *)
     let add_scratch s p =
-      match smode with
-      | Store_seed ->
-          let z0 = K.Scratch.freeze scr in
-          let z = Hstore.intern zstore z0 in
-          if z != z0 then Metrics.incr c_zones_interned;
+      let h = K.Scratch.hash scr in
+      match
+        Hstore.intern_scratch zstore ~hash:h
+          ~equal:(K.Scratch.equal_zone scr)
+          ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr)
+      with
+      | `Hit z ->
+          Metrics.incr c_zones_interned;
           add_interned s p z
-      | Store_heap | Store_arena -> (
-          let h = K.Scratch.hash scr in
-          match
-            Hstore.intern_scratch zstore ~hash:h
-              ~equal:(K.Scratch.equal_zone scr)
-              ~freeze:(fun () ->
-                match smode with
-                | Store_arena -> K.Scratch.freeze_into ~hash:h arena scr
-                | Store_heap | Store_seed -> K.Scratch.freeze scr)
-          with
-          | `Hit z ->
-              Metrics.incr c_zones_interned;
-              add_interned s p z
-          | `Miss z -> add_interned s p z)
+      | `Miss z -> add_interned s p z
     in
-    (* Commit path: the speculated zone was frozen on a worker domain
-       (into its per-domain arena under arena mode).  Probe it against
-       the store; only a genuine miss is copied into the main arena —
-       the worker arenas rewind at the end of the batch. *)
+    (* Commit path: the speculated zone was frozen into its worker
+       domain's arena.  Probe it against the store; only a genuine miss
+       is copied into the main arena — the worker arenas rewind at the
+       end of the batch. *)
     let add_spec s p z =
-      match smode with
-      | Store_seed ->
-          let z0 = z in
-          let z = Hstore.intern zstore z in
-          if z != z0 then Metrics.incr c_zones_interned;
+      match
+        Hstore.intern_scratch zstore ~hash:(K.hash z)
+          ~equal:(fun k -> K.equal k z)
+          ~freeze:(fun () -> K.copy_into arena z)
+      with
+      | `Hit z ->
+          Metrics.incr c_zones_interned;
           add_interned s p z
-      | Store_heap | Store_arena -> (
-          match
-            Hstore.intern_scratch zstore ~hash:(K.hash z)
-              ~equal:(fun k -> K.equal k z)
-              ~freeze:(fun () ->
-                match smode with
-                | Store_arena -> K.copy_into arena z
-                | Store_heap | Store_seed -> z)
-          with
-          | `Hit z ->
-              Metrics.incr c_zones_interned;
-              add_interned s p z
-          | `Miss z -> add_interned s p z)
+      | `Miss z -> add_interned s p z
     in
     (* The unfinished tail of the batch being drained: the entry under
        expansion plus the ones not yet reached.  Only a mid-batch
@@ -874,12 +835,7 @@ module Make (K : Dbm_sig.S) : S = struct
                 widen scr;
                 if K.Scratch.is_empty scr then `Dead
                 else
-                  `Succ
-                    ( s',
-                      p',
-                      match smode with
-                      | Store_arena -> K.Scratch.freeze_into dc.darena scr
-                      | Store_heap | Store_seed -> K.Scratch.freeze scr ))
+                  `Succ (s', p', K.Scratch.freeze_into dc.darena scr))
         (a.Ioa.delta s act)
     in
     (* Sequential-order replay of one speculated edge. *)
@@ -1283,5 +1239,28 @@ module Paranoid : S = struct
   let fingerprint_invariant = P.fingerprint_invariant
   let fingerprint_condition = P.fingerprint_condition
 end
+
+(* Every engine under the name the CLI's --engine flag and the daemon's
+   "engine" request field both accept. *)
+let engines : (string * (module S)) list =
+  [
+    ("auto", (module Auto));
+    ("int", (module Int));
+    ("fast", (module Default));
+    ("ref", (module Ref));
+    ("paranoid", (module Paranoid));
+  ]
+
+let engine_of_name name =
+  match List.assoc_opt name engines with
+  | None ->
+      Error
+        (Printf.sprintf "unknown engine %S (%s)" name
+           (String.concat " | " (List.map fst engines)))
+  | Some e ->
+      (* paranoid without an explicit period samples 1 pipeline in 64 *)
+      if String.equal name "paranoid" && Tm_recover.Paranoid.every () = 0 then
+        Tm_recover.Paranoid.set_every 64;
+      Ok e
 
 include Default

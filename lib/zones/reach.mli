@@ -221,5 +221,15 @@ module Paranoid : S
     {!Ref} (counting [recover.degraded]) instead of reporting a
     possibly corrupt verdict. *)
 
+val engines : (string * (module S)) list
+(** Every engine by name: [auto], [int], [fast], [ref], [paranoid].
+    The CLI's [--engine] flag and the daemon's ["engine"] request field
+    both resolve names through this table. *)
+
+val engine_of_name : string -> ((module S), string) result
+(** Look a name up in {!engines}; an unknown name is an [Error] that
+    lists the known ones.  Selecting [paranoid] while no sampling
+    period is set ({!Tm_recover.Paranoid.every} [= 0]) sets it to 64. *)
+
 include S
 (** The default engine's operations, available unqualified. *)

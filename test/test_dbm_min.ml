@@ -12,9 +12,8 @@
    [copy_into]/[freeze_into] round-trip zone payloads through bump
    arenas (across chunk growth), a no-op edge pipeline still freezes
    to the original interned zone, and an engine-level regression holds
-   verdicts fixed across TM_STORE modes and domain counts — a worker
-   arena reset must discard exactly the speculative zones and nothing
-   else. *)
+   verdicts fixed across domain counts — a worker arena reset must
+   discard exactly the speculative zones and nothing else. *)
 
 module Rational = Tm_base.Rational
 module Bnd = Tm_zones.Dbm_bound
@@ -211,32 +210,24 @@ let unit_reset_reuse (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
 (* Engine regression: a worker arena reset discards exactly the
    speculative zones.  Any leak of recycled payloads into the shared
    store would perturb the verdict, the zone count or the reachable
-   state set somewhere across store modes and domain counts — all
-   nine combinations must agree bit for bit, on both the rational and
-   the packed-int engine. *)
+   state set somewhere across domain counts — all must agree bit for
+   bit, on both the rational and the packed-int engine. *)
 
-let store_modes_agree (module E : Reach.S) () =
+let domains_agree (module E : Reach.S) () =
   let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
-  let run mode d =
-    Unix.putenv "TM_STORE" mode;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "TM_STORE" "")
-      (fun () ->
-        let st, states = E.reachable ~domains:d sys bm in
-        (st, List.sort compare states))
+  let run d =
+    let st, states = E.reachable ~domains:d sys bm in
+    (st, List.sort compare states)
   in
-  let base = run "arena" 1 in
+  let base = run 1 in
   List.iter
-    (fun mode ->
-      List.iter
-        (fun d ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s @ domains=%d matches arena @ 1" mode d)
-            true
-            (run mode d = base))
-        [ 1; 2; 4 ])
-    [ "arena"; "heap"; "seed" ]
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domains=%d matches domains=1" d)
+        true
+        (run d = base))
+    [ 2; 4 ]
 
 let suite =
   [
@@ -264,9 +255,8 @@ let suite =
       (unit_reset_reuse (module Dbm));
     Alcotest.test_case "arena: reset recycles space exactly (int)" `Quick
       (unit_reset_reuse (module Dbm_int));
-    Alcotest.test_case "engine: TM_STORE modes x domains agree (rational)"
-      `Quick
-      (store_modes_agree (module Reach.Default));
-    Alcotest.test_case "engine: TM_STORE modes x domains agree (int)" `Quick
-      (store_modes_agree (module Reach.Int));
+    Alcotest.test_case "engine: domains 1/2/4 agree (rational)" `Quick
+      (domains_agree (module Reach.Default));
+    Alcotest.test_case "engine: domains 1/2/4 agree (int)" `Quick
+      (domains_agree (module Reach.Int));
   ]

@@ -620,6 +620,100 @@ let daemon_sigterm_drains () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
 
 (* ------------------------------------------------------------------ *)
+(* cache keys *)
+
+module Catalog = Tm_serve.Catalog
+
+let catalog_job s =
+  match Json.of_string s with
+  | Error m -> Alcotest.fail ("bad request literal: " ^ m)
+  | Ok j -> (
+      match Catalog.of_request j with
+      | Ok job -> job
+      | Error m -> Alcotest.fail ("catalog refused " ^ s ^ ": " ^ m))
+
+let fresh_doc s =
+  let job = catalog_job s in
+  match
+    job.Catalog.exec ~limit:None ~deadline_s:None ~domains:1 ~checkpoint:None
+      ~resume:None
+  with
+  | Ok doc -> Json.to_string doc
+  | Error e -> Alcotest.fail ("unexpected UNKNOWN: " ^ e.Tm_zones.Reach.reason)
+
+(* Regression: the margin cache key once left out the condition bounds,
+   so two rm margin requests that differ only in k (same boundmap,
+   different G1/G2 bounds) shared a fingerprint and the second was
+   served the first's cached verdict.  Each must get its own key, and
+   the daemon must answer each with exactly the document a fresh
+   computation gives. *)
+let margin_key_covers_params () =
+  let k2 = "{\"op\":\"margin\",\"system\":\"rm\",\"params\":{\"k\":2}}" in
+  let k3 = "{\"op\":\"margin\",\"system\":\"rm\",\"params\":{\"k\":3}}" in
+  Alcotest.(check bool)
+    "k=2 and k=3 margin fingerprints differ" false
+    (String.equal (catalog_job k2).Catalog.fingerprint
+       (catalog_job k3).Catalog.fingerprint);
+  let sock = sock_path () in
+  let cfg = { (base_cfg sock) with Server.state_dir = Some (tmp_dir ()) } in
+  let pid = spawn_server cfg in
+  Fun.protect
+    ~finally:(fun () -> shutdown_server pid sock)
+    (fun () ->
+      let cx = connect sock in
+      let ask r =
+        send cx r;
+        recv cx
+      in
+      let a2 = ask k2 in
+      let a3 = ask k3 in
+      close_cx cx;
+      Alcotest.(check string) "k=2 answer = fresh k=2" (fresh_doc k2)
+        (verdict_text a2);
+      Alcotest.(check string) "k=3 answer = fresh k=3" (fresh_doc k3)
+        (verdict_text a3);
+      Alcotest.(check bool) "k=3 not served from cache" true
+        (Json.member "cached" a3 <> Some (Json.Bool true)))
+
+(* The simulate key is the canonical parameter form: key order, spelled
+   out defaults and clamped values all name the same job, so such
+   requests coalesce onto one computation and one cache entry. *)
+let simulate_key_canonical () =
+  let fp params =
+    (catalog_job
+       (Printf.sprintf
+          "{\"op\":\"simulate\",\"system\":\"%s\",\"params\":%s}"
+          (fst params) (snd params)))
+      .Catalog.fingerprint
+  in
+  let same what a b =
+    Alcotest.(check string) what (fp a) (fp b)
+  in
+  same "key order" ("rm", "{\"k\":2,\"c2\":4}") ("rm", "{\"c2\":4,\"k\":2}");
+  same "defaults spelled out" ("rm", "{\"k\":2}")
+    ("rm", "{\"l\":1,\"c2\":3,\"c1\":2,\"k\":2}");
+  same "no params = all defaults" ("relay", "{}")
+    ("relay", "{\"n\":4,\"d1\":1,\"d2\":2}");
+  same "knobs the system ignores" ("two", "{}") ("two", "{\"k\":9}");
+  same "fischer n clamp" ("fischer", "{\"n\":1}") ("fischer", "{\"n\":2}");
+  Alcotest.(check bool)
+    "a real difference still separates" false
+    (String.equal (fp ("rm", "{\"k\":2}")) (fp ("rm", "{\"k\":3}")))
+
+(* An item index below zero is out of range like any other, answered as
+   a structured error rather than an exception. *)
+let negative_item_rejected () =
+  match
+    Catalog.of_request
+      (Json.Obj [ ("system", Json.String "rm"); ("item", Json.Int (-1)) ])
+  with
+  | Error m ->
+      Alcotest.(check string) "structured error"
+        "item -1 out of range (rm has 2 items)" m
+  | Ok _ -> Alcotest.fail "item -1 accepted"
+  | exception e -> Alcotest.fail ("raised " ^ Printexc.to_string e)
+
+(* ------------------------------------------------------------------ *)
 (* worker processes *)
 
 module Workers = Tm_serve.Workers
@@ -930,6 +1024,12 @@ let suite =
       daemon_chaos_no_loss;
     Alcotest.test_case "daemon: poison job quarantined" `Slow
       daemon_poison_quarantine;
+    Alcotest.test_case "catalog: margin key covers condition bounds" `Slow
+      margin_key_covers_params;
+    Alcotest.test_case "catalog: simulate key is canonical" `Quick
+      simulate_key_canonical;
+    Alcotest.test_case "catalog: negative item is a structured error" `Quick
+      negative_item_rejected;
     Alcotest.test_case "daemon: SIGTERM drains worker pool" `Slow
       daemon_sigterm_drains_workers;
   ]
