@@ -8,7 +8,7 @@
 #
 # The widening mode changes zone counts, so the transcript pins the
 # default (LU) mode whatever the caller's environment says.
-unset TM_NO_LU TM_DOMAINS
+unset TM_NO_LU
 bin=$1
 
 run() {
