@@ -389,8 +389,10 @@ let e6 () =
     let result, locs, zones =
       match outcome with
       | Reach.Verified st -> ("VERIFIED", st.Reach.locations, st.Reach.zones)
-      | Reach.Lower_violation _ -> ("LOWER-VIOLATED", 0, 0)
-      | Reach.Upper_violation _ -> ("UPPER-VIOLATED", 0, 0)
+      | Reach.Lower_violation st ->
+          ("LOWER-VIOLATED", st.Reach.locations, st.Reach.zones)
+      | Reach.Upper_violation st ->
+          ("UPPER-VIOLATED", st.Reach.locations, st.Reach.zones)
       | Reach.Unsupported m -> ("unsupported: " ^ m, 0, 0)
       | Reach.Unknown e ->
           ( "UNKNOWN: " ^ e.Reach.reason,

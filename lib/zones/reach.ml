@@ -273,806 +273,751 @@ module Make (K : Dbm_sig.S) : S = struct
     p_waiting_max : float;
   }
 
-  (* Per-domain expansion context for the parallel path: a private
-     scratch matrix plus a private enabled-vector cache (its own
-     Hstore, so the single-domain owner assertion holds).  Created
-     lazily by the domain that uses it. *)
-  type 's dctx = {
-    dscr : K.Scratch.scratch;
-    darena : K.Arena.arena;
-        (** speculative zones freeze into this bump arena; it rewinds
-            at the end of every batch, after the commit loop has copied
-            the survivors into the main arena *)
-    dvids : 's Hstore.t;
-    dvecs : (int, bool array) Hashtbl.t;
-    dsat : int -> int -> Dbm_bound.t -> bool;
-        (** shared satisfiability probe over [dscr], so the per-edge
-            [observe] call allocates no closure *)
+  (* ---------------- the successor step ---------------- *)
+
+  (* One expansion context: a private scratch matrix with its
+     satisfiability probe, a bump arena for speculated zones, and a
+     per-state cache of {!Clock_enc.enabled_vec} (its own Hstore, so the
+     single-domain owner assertion holds).  Context [d] belongs to pool
+     domain [d].  Context 0 is the main domain's: it seeds the search,
+     runs the sequential path, and is domain 0 of [Pool.parallel_for].
+     Every context is created lazily by the domain that uses it. *)
+  type 's ctx = {
+    scr : K.Scratch.scratch;
+    sat : int -> int -> Dbm_bound.t -> bool;
+        (** probe over [scr], built once so the per-edge [observe] call
+            allocates no closure *)
+    spec : K.Arena.arena;
+        (** speculated zones freeze here; rewound at the end of every
+            batch, after the commit loop has copied the survivors into
+            the main arena *)
+    vec_ids : 's Hstore.t;
+    vecs : (int, bool array) Hashtbl.t;
   }
 
-  (* Generic exploration.  [observe] sees each discrete step plus a
-     satisfiability query on the guard-constrained successor zone and
-     returns the observer phase transition and the operation on the
-     observer clock ([`Reset], [`Free] while it is not being read, or
-     [`Keep]); [inspect] sees every stored (state, phase, zone).
+  let make_ctx (enc : ('s, _) enc) =
+    let a = enc.cenc.Clock_enc.aut in
+    let scr = K.Scratch.create enc.nclocks in
+    {
+      scr;
+      sat = (fun i j b -> K.Scratch.sat scr i j b);
+      spec = K.Arena.create ();
+      vec_ids =
+        Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state 64;
+      vecs = Hashtbl.create 64;
+    }
+
+  let enabled_vec enc ctx s =
+    let id = match Hstore.add ctx.vec_ids s with `Added i | `Present i -> i in
+    match Hashtbl.find_opt ctx.vecs id with
+    | Some v -> v
+    | None ->
+        let v = Clock_enc.enabled_vec enc.cenc s in
+        Hashtbl.add ctx.vecs id v;
+        v
+
+  (* Load a source zone and apply an action's guard: is the guarded
+     zone nonempty? *)
+  let guard scr z gopt =
+    K.Scratch.load scr z;
+    (match gopt with
+    | None -> ()
+    | Some (x, b) -> K.Scratch.constrain scr 0 x b);
+    not (K.Scratch.is_empty scr)
+
+  (* The closure step of time(A,b) on a scratch that holds the
+     guard-constrained source zone.  Classes the step newly enables —
+     and the fired class [ci] when it stays enabled — are reset;
+     disabled ones are released ([Ft = 0], [Lt = inf]: the clock is
+     freed); the observer clock takes [y_op]; time passes; the [Lt]
+     invariants of the enabled classes are imposed; and the result is
+     widened — LU extrapolation by default, classic max-constant when
+     disabled.  Is the successor nonempty?  Every zone the engine makes
+     comes out of here: the sequential path, the speculative workers,
+     and the initial zones ([~pre:v0 ~post:v0 ~ci:(-1)]), so
+     [zones.stored] stays identical by construction whatever the kernel
+     or domain count. *)
+  let step enc scr ~pre ~post ~ci y_op =
+    let nclasses = enc.cenc.Clock_enc.nclasses in
+    for i = 0 to nclasses - 1 do
+      if post.(i) then begin
+        if ci = i || not pre.(i) then K.Scratch.reset scr (i + 1)
+      end
+      else K.Scratch.free scr (i + 1)
+    done;
+    (match (enc.y, y_op) with
+    | Some y, `Reset -> K.Scratch.reset scr y
+    | Some y, `Free -> K.Scratch.free scr y
+    | Some _, `Keep | None, _ -> ());
+    K.Scratch.up scr;
+    for i = 0 to nclasses - 1 do
+      if post.(i) then
+        match enc.uppers.(i) with
+        | Some b -> K.Scratch.constrain scr (i + 1) 0 b
+        | None -> ()
+    done;
+    (match enc.lu with
+    | Some (lower, upper) -> K.Scratch.extrapolate_lu ~lower ~upper scr
+    | None -> K.Scratch.extrapolate enc.max_const scr);
+    not (K.Scratch.is_empty scr)
+
+  (* ---------------- the frontier ---------------- *)
+
+  (* One exploration: the job it runs (encoding, callbacks, budgets,
+     checkpoint policy) and its whole search state.  At a batch
+     boundary the frontier is exactly [cells]/[pending]/[locq]; the
+     unfinished tail of the batch being drained ([batch_left], at
+     location [batch_loc]) is nonempty only when a mid-batch deadline
+     fires, and the final snapshot folds it back in.
+
+     [observe] sees each discrete step plus a satisfiability query on
+     the guard-constrained successor zone and returns the observer
+     phase transition and the operation on the observer clock
+     ([`Reset], [`Free] while it is not being read, or [`Keep]).
+     [inspect] sees every stored (phase, state, zone). *)
+  type ('s, 'a) frontier = {
+    enc : ('s, 'a) enc;
+    observe :
+      phase -> 's -> 'a -> 's -> sat:(int -> int -> Dbm_bound.t -> bool) ->
+      (phase * [ `Reset | `Free | `Keep ], string) result;
+    inspect : phase -> 's -> K.t -> unit;
+    limit : int;
+    deadline_s : float option;
+    deadline : float option;  (** absolute wall clock *)
+    pool : Pool.t option;
+    checkpoint : (string * int) option;
+    resume : string option;
+    fp : string;
+    store : ('s * phase) Hstore.t;  (** location ids *)
+    zstore : K.t Hstore.t;
+        (** hash-consed zones: structurally equal zones are one pointer,
+            so inclusion checks start with a physical-equality hit *)
+    arena : K.Arena.arena;
+        (** every stored zone's payload; never reset *)
+    cells : (int, zentry list ref) Hashtbl.t;
+        (** passed + waiting zones per location id *)
+    pending : (int, zentry list ref) Hashtbl.t;
+        (** the waiting list: per-location buckets drained in FIFO
+            location order ([locq]), largest zone first *)
+    locq : int Queue.t;
+        (** a location is queued iff it has a [pending] bucket *)
+    ctxs : 's ctx option array;  (** per pool domain *)
+    mutable edges : int;
+    mutable zones : int;
+    mutable waiting : int;
+    mutable last_seq : int;
+    base_subsumed : int;
+    base_pruned : int;
+    base_interned : int;
+        (** this job's baseline of the shared counters, taken before any
+            restore: [value - base] is the delta a snapshot carries *)
+    mutable batch_loc : int;
+    mutable batch_left : zentry list;
+    mutable wrote_snapshot : bool;
+    mutable last_snap : int;
+    t_start : float;
+    mutable last_emit : float;
+  }
+
+  (* [observe] and [inspect] end a run with an answer by raising
+     [Answer] around an exception of their own; [Unsupported_shape] is
+     the engine's.  Any other exception is a crash. *)
+  exception Answer of exn
+  exception Unsupported_shape of string
+  exception Budget of [ `States | `Deadline | `Interrupt ]
+
+  let telemetry_on () = Events.enabled () || Events.progress_enabled ()
+
+  let stats fr =
+    { locations = Hstore.length fr.store; zones = fr.zones; edges = fr.edges }
+
+  let ctx fr d =
+    match fr.ctxs.(d) with
+    | Some c -> c
+    | None ->
+        let c = make_ctx fr.enc in
+        fr.ctxs.(d) <- Some c;
+        c
+
+  (* Probed at every batch boundary and before every successor, so a
+     single expensive pipeline cannot overshoot by more than one zone
+     expansion. *)
+  let check_deadline fr =
+    match fr.deadline with
+    | Some t when Tracing.now_s () > t -> raise (Budget `Deadline)
+    | Some _ | None -> ()
+
+  let count_edge fr =
+    fr.edges <- fr.edges + 1;
+    Metrics.incr c_zone_edges;
+    check_deadline fr
+
+  let bucket tbl id =
+    match Hashtbl.find_opt tbl id with
+    | Some c -> c
+    | None ->
+        let c = ref [] in
+        Hashtbl.add tbl id c;
+        c
+
+  (* Store one already-interned zone: subsumption (both directions
+     through the minimal-constraint forms), storing, inspection,
+     queueing.  All callers run on the main domain in sequential commit
+     order, so everything here is deterministic at any domain count. *)
+  let add_interned fr s p z =
+    let id = match Hstore.add fr.store (s, p) with `Added i | `Present i -> i in
+    let cell = bucket fr.cells id in
+    if List.exists (fun e -> K.Min.subsumes e.zmin z) !cell then
+      Metrics.incr c_zones_subsumed
+    else begin
+      let zmin = K.Min.of_zone z in
+      cell :=
+        List.filter
+          (fun e ->
+            if K.Min.subsumes zmin e.z then begin
+              e.alive <- false;
+              if not e.expanded then Metrics.incr c_zones_pruned_waiting;
+              false
+            end
+            else true)
+          !cell;
+      fr.last_seq <- fr.last_seq + 1;
+      let e =
+        {
+          z;
+          zmin;
+          zloose = K.loose z;
+          seq = fr.last_seq;
+          alive = true;
+          expanded = false;
+        }
+      in
+      cell := e :: !cell;
+      fr.zones <- fr.zones + 1;
+      Metrics.incr c_zones_stored;
+      fr.inspect p s z;
+      if not (Hashtbl.mem fr.pending id) then Queue.add id fr.locq;
+      let waiting = bucket fr.pending id in
+      waiting := e :: !waiting;
+      fr.waiting <- fr.waiting + 1;
+      Metrics.set_max g_waiting_max (float_of_int fr.waiting)
+    end
+
+  (* Intern a candidate zone, then store it.  The candidate is probed
+     through [hash]/[equal] wherever it lives (the sequential scratch, or
+     a worker's arena); only a genuine miss runs [freeze], which puts
+     exactly one copy into the main arena. *)
+  let intern_store fr ~hash ~equal ~freeze s p =
+    match Hstore.intern_scratch fr.zstore ~hash ~equal ~freeze with
+    | `Hit z ->
+        Metrics.incr c_zones_interned;
+        add_interned fr s p z
+    | `Miss z -> add_interned fr s p z
+
+  (* Sequential path and seeding: run the step on the main context's
+     scratch and store the survivor straight from it — a hit never
+     copies the matrix at all. *)
+  let step_and_store fr ctx ~pre ~post ~ci y_op s p =
+    let scr = ctx.scr in
+    if step fr.enc scr ~pre ~post ~ci y_op then begin
+      let h = K.Scratch.hash scr in
+      intern_store fr ~hash:h ~equal:(K.Scratch.equal_zone scr)
+        ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h fr.arena scr)
+        s p
+    end
+
+  (* ---------------- telemetry ---------------- *)
+
+  (* Observation-only: reads the frontier's counters and never
+     influences what gets explored, so verdicts and [zones.stored] are
+     byte-identical with telemetry on or off.  With neither an event
+     sink nor the progress line active, the per-batch cost is two flag
+     reads and no clock access. *)
+  let emit_telemetry ?(force = false) ?(ev = "zones.batch") fr =
+    if telemetry_on () then begin
+      let now = Tracing.now_s () in
+      if force || now -. fr.last_emit >= 0.05 then begin
+        fr.last_emit <- now;
+        let elapsed = now -. fr.t_start in
+        let rate =
+          if elapsed > 0. then float_of_int fr.zones /. elapsed else 0.
+        in
+        if Events.enabled () then begin
+          let queues =
+            match fr.pool with
+            | Some pl when Pool.size pl > 1 ->
+                let depths = Array.to_list (Pool.queue_depths pl) in
+                [ ("queues", Json.List (List.map (fun d -> Json.Int d) depths)) ]
+            | Some _ | None -> []
+          in
+          Events.emit ev
+            ([
+               ("stored", Json.Int fr.zones);
+               ("frontier", Json.Int fr.waiting);
+               ("locations", Json.Int (Hstore.length fr.store));
+               ("edges", Json.Int fr.edges);
+               ( "subsumed",
+                 Json.Int (Metrics.value c_zones_subsumed - fr.base_subsumed) );
+               ( "pruned",
+                 Json.Int
+                   (Metrics.value c_zones_pruned_waiting - fr.base_pruned) );
+               ("rate", Json.Float rate);
+             ]
+            @ queues)
+        end;
+        let eta_s =
+          (* ETA toward whichever budget will end the run first: the
+             wall-clock deadline, or the state budget at the current
+             rate. *)
+          match fr.deadline with
+          | Some t -> Some (Float.max 0. (t -. now))
+          | None ->
+              if rate > 0. then
+                Some (float_of_int (max 0 (fr.limit - fr.zones)) /. rate)
+              else None
+        in
+        Events.progress ?eta_s ~stored:fr.zones ~frontier:fr.waiting ~rate ()
+      end
+    end
+
+  (* ---------------- checkpoints ---------------- *)
+
+  let save_snapshot (type s) (fr : (s, _) frontier) =
+    match fr.checkpoint with
+    | None -> None
+    | Some (path, _) ->
+        Tracing.with_span "recover.snapshot" @@ fun () ->
+        let to_list tbl =
+          List.of_seq (Seq.map (fun (id, es) -> (id, !es)) (Hashtbl.to_seq tbl))
+        in
+        let pending = to_list fr.pending in
+        (* Fold the unfinished batch tail back into the frontier. *)
+        let pending, q_extra =
+          match fr.batch_left with
+          | [] -> (pending, [])
+          | tail ->
+              let id = fr.batch_loc in
+              let merged =
+                match List.assoc_opt id pending with
+                | Some es -> (id, tail @ es) :: List.remove_assoc id pending
+                | None -> (id, tail) :: pending
+              in
+              (merged, if Hashtbl.mem fr.pending id then [] else [ id ])
+        in
+        let snap =
+          {
+            p_keys =
+              Array.init (Hstore.length fr.store) (Hstore.key_of_id fr.store);
+            p_cells = Array.of_list (to_list fr.cells);
+            p_pending = Array.of_list pending;
+            p_locq =
+              Array.of_list (q_extra @ List.of_seq (Queue.to_seq fr.locq));
+            p_edges = fr.edges;
+            p_zones = fr.zones;
+            p_seq = fr.last_seq;
+            p_subsumed_d = Metrics.value c_zones_subsumed - fr.base_subsumed;
+            p_pruned_d = Metrics.value c_zones_pruned_waiting - fr.base_pruned;
+            p_interned_d = Metrics.value c_zones_interned - fr.base_interned;
+            p_waiting_max = Metrics.gauge_value g_waiting_max;
+          }
+        in
+        let info =
+          Printf.sprintf "zones=%d locations=%d edges=%d" fr.zones
+            (Hstore.length fr.store) fr.edges
+        in
+        Snapshot.write ~path ~fingerprint:fr.fp ~info
+          (Marshal.to_bytes (snap : s snap) []);
+        fr.wrote_snapshot <- true;
+        fr.last_snap <- fr.zones;
+        Some path
+
+  let restore (type s) (fr : (s, _) frontier) path =
+    let fp_got, info, payload = Snapshot.read path in
+    if fp_got <> fr.fp then
+      raise
+        (Snapshot.Bad_snapshot
+           (Printf.sprintf
+              "%s: snapshot belongs to a different job\n\
+              \  snapshot: %s\n\
+              \  this run: %s" path fp_got fr.fp));
+    let snap = (Marshal.from_bytes payload 0 : s snap) in
+    (* Dense Hstore ids are assigned in insertion order, so re-adding
+       the keys in id order reproduces every id exactly. *)
+    Array.iter (fun k -> ignore (Hstore.add fr.store k)) snap.p_keys;
+    Array.iter
+      (fun (id, es) ->
+        Hashtbl.replace fr.cells id (ref es);
+        (* Re-seed the hash-consing store.  Marshal preserved the
+           sharing among stored zones, so structurally equal zones are
+           still one pointer and each distinct zone is interned once. *)
+        List.iter (fun e -> ignore (Hstore.intern fr.zstore e.z)) es)
+      snap.p_cells;
+    Array.iter
+      (fun (id, es) -> Hashtbl.replace fr.pending id (ref es))
+      snap.p_pending;
+    Array.iter (fun id -> Queue.add id fr.locq) snap.p_locq;
+    fr.edges <- snap.p_edges;
+    fr.zones <- snap.p_zones;
+    fr.last_seq <- snap.p_seq;
+    fr.waiting <-
+      Array.fold_left (fun n (_, es) -> n + List.length es) 0 snap.p_pending;
+    fr.last_snap <- fr.zones;
+    (* Replay this job's counter contribution so a resumed run's totals
+       equal an uninterrupted one's. *)
+    Metrics.add c_zones_stored snap.p_zones;
+    Metrics.add c_zone_edges snap.p_edges;
+    Metrics.add c_zones_subsumed snap.p_subsumed_d;
+    Metrics.add c_zones_pruned_waiting snap.p_pruned_d;
+    Metrics.add c_zones_interned snap.p_interned_d;
+    Metrics.set_max g_waiting_max snap.p_waiting_max;
+    Metrics.incr c_resumed;
+    Events.emit "recover.resume"
+      [
+        ("path", Json.String path);
+        ("zones", Json.Int fr.zones);
+        ("edges", Json.Int fr.edges);
+        ("info", Json.String info);
+      ];
+    Log.info "resumed from %s (%s)" path info
+
+  (* Batch-boundary discipline: deterministic budget, cooperative
+     interrupt, periodic snapshot — in that order, so an exhausted run
+     never first spends time snapshotting. *)
+  let boundary_checks fr =
+    if fr.zones > fr.limit then raise (Budget `States);
+    if Supervisor.interrupt_requested () then raise (Budget `Interrupt);
+    match fr.checkpoint with
+    | Some (_, every) when every > 0 && fr.zones - fr.last_snap >= every ->
+        ignore (save_snapshot fr)
+    | _ -> ()
+
+  (* A run that ended with an answer — a fixpoint, a violation, an
+     unsupported shape — leaves no frontier worth resuming, so its
+     checkpoint goes: the periodic one this run wrote, or the one it
+     resumed from when that doubles as the checkpoint path.  A file at
+     the checkpoint path this run neither wrote nor consumed is someone
+     else's and stays.  A budget, a deadline or an interrupt keeps the
+     checkpoint to resume from, and so does a crash. *)
+  let release_checkpoint fr =
+    match fr.checkpoint with
+    | Some (path, _) when fr.wrote_snapshot || fr.resume = Some path -> (
+        try Sys.remove path with Sys_error _ -> ())
+    | _ -> ()
+
+  (* Exhaustion must never masquerade as a verdict: surface the partial
+     stats so the caller can report how far the search got before the
+     budget ran out — and leave a final snapshot behind so none of that
+     work is lost. *)
+  let exhaust fr kind =
+    let checkpoint = save_snapshot fr in
+    let partial = stats fr in
+    let reason =
+      match kind with
+      | `States ->
+          Metrics.incr c_budget_states;
+          Printf.sprintf "zone budget exhausted (limit=%d stored zones)"
+            fr.limit
+      | `Deadline ->
+          Metrics.incr c_budget_deadline;
+          let d = match fr.deadline_s with Some d -> d | None -> 0. in
+          Printf.sprintf "deadline exceeded (%.0f ms)" (d *. 1000.)
+      | `Interrupt ->
+          Metrics.incr c_interrupted;
+          "interrupted (SIGINT/SIGTERM)"
+    in
+    emit_telemetry ~force:true ~ev:"zones.exhausted" fr;
+    Events.emit "zones.budget"
+      [
+        ("reason", Json.String reason);
+        ( "checkpoint",
+          match checkpoint with Some p -> Json.String p | None -> Json.Null );
+      ];
+    Events.progress_clear ();
+    { reason; partial; checkpoint }
+
+  (* ---------------- expansion ---------------- *)
+
+  let expand fr ctx s p pre z =
+    Array.iter
+      (fun (act, gopt, ci) ->
+        List.iter
+          (fun s' ->
+            count_edge fr;
+            if guard ctx.scr z gopt then
+              match fr.observe p s act s' ~sat:ctx.sat with
+              | Error m -> raise (Answer (Unsupported_shape m))
+              | Ok (p', y_op) ->
+                  step_and_store fr ctx ~pre ~post:(enabled_vec fr.enc ctx s')
+                    ~ci y_op s' p')
+          (fr.enc.cenc.Clock_enc.aut.Ioa.delta s act))
+      fr.enc.guards
+
+  (* Parallel path: the successors of one (entry, guard) pair, computed
+     on a worker domain's context and recorded instead of committed.
+     Exceptions from [observe] (violation witnesses use local
+     exceptions) are captured and re-raised at the commit point. *)
+  let speculate fr ctx s p pre z (act, gopt, ci) =
+    List.map
+      (fun s' ->
+        if not (guard ctx.scr z gopt) then `Skip
+        else
+          match fr.observe p s act s' ~sat:ctx.sat with
+          | exception ex -> `Raised ex
+          | Error m -> `Unsup m
+          | Ok (p', y_op) ->
+              let post = enabled_vec fr.enc ctx s' in
+              if step fr.enc ctx.scr ~pre ~post ~ci y_op then
+                `Succ (s', p', K.Scratch.freeze_into ctx.spec ctx.scr)
+              else `Dead)
+      (fr.enc.cenc.Clock_enc.aut.Ioa.delta s act)
+
+  (* Sequential-order replay of one speculated edge.  The speculated
+     zone lives in its worker's arena: it is probed where it is, and
+     only a genuine miss is copied into the main arena. *)
+  let commit_edge fr out =
+    count_edge fr;
+    match out with
+    | `Skip | `Dead -> ()
+    | `Unsup m -> raise (Answer (Unsupported_shape m))
+    | `Raised ex -> raise ex
+    | `Succ (s', p', z) ->
+        intern_store fr ~hash:(K.hash z)
+          ~equal:(fun k -> K.equal k z)
+          ~freeze:(fun () -> K.copy_into fr.arena z)
+          s' p'
+
+  (* Parallel path: speculate, one task per (entry, guard) pair, every
+     entry of the batch alive at pop, and return the commit of one
+     entry's outcomes.  Entries still alive at commit are a subsequence
+     of those alive at pop, so a cursor finds each one's results. *)
+  let speculate_batch fr pl s p pre batch =
+    let alive = Array.of_list (List.filter (fun e -> e.alive) batch) in
+    let guards = fr.enc.guards in
+    let ng = Array.length guards in
+    let ntasks = Array.length alive * ng in
+    let res = Array.make (max ntasks 1) [] in
+    Pool.parallel_for pl ~n:ntasks (fun ~domain t ->
+        res.(t) <-
+          speculate fr (ctx fr domain) s p pre alive.(t / ng).z
+            guards.(t mod ng));
+    let ai = ref 0 in
+    fun e ->
+      while alive.(!ai) != e do
+        incr ai
+      done;
+      for gi = 0 to ng - 1 do
+        List.iter (commit_edge fr) res.((!ai * ng) + gi)
+      done
+
+  (* Expand the pending batch of location [id], largest zone first:
+     the biggest zone subsumes the most successors, so expanding it
+     first maximizes pruning; the insertion sequence breaks ties for
+     determinism.  Under a pool, aliveness is sampled twice: entries
+     dead at pop get no tasks, and entries killed by an earlier commit
+     of this very batch have their speculation discarded — exactly
+     where the sequential path skips a dead entry. *)
+  let expand_batch fr id =
+    let batch =
+      List.sort
+        (fun e1 e2 ->
+          if e1.zloose <> e2.zloose then compare e2.zloose e1.zloose
+          else compare e1.seq e2.seq)
+        !(Hashtbl.find fr.pending id)
+    in
+    Hashtbl.remove fr.pending id;
+    let s, p = Hstore.key_of_id fr.store id in
+    let ctx0 = ctx fr 0 in
+    let pre = enabled_vec fr.enc ctx0 s in
+    fr.batch_loc <- id;
+    fr.batch_left <- batch;
+    let expand_entry =
+      match fr.pool with
+      | Some pl when Pool.size pl > 1 -> speculate_batch fr pl s p pre batch
+      | Some _ | None -> fun e -> expand fr ctx0 s p pre e.z
+    in
+    List.iter
+      (fun e ->
+        fr.waiting <- fr.waiting - 1;
+        if e.alive then begin
+          e.expanded <- true;
+          expand_entry e
+        end;
+        fr.batch_left <- List.tl fr.batch_left)
+      batch;
+    (* Batch boundary: every committed zone was re-homed into the main
+       arena, so whatever was speculated this batch is now discarded
+       work — rewind the speculation arenas. *)
+    Array.iter (function Some c -> K.Arena.reset c.spec | None -> ()) fr.ctxs
+
+  (* The initial zones: the step from the all-zero zone with every
+     enabled class kept, the observer clock freed while idle. *)
+  let seed fr ~initial_phase =
+    let ctx0 = ctx fr 0 in
+    let z_init = K.zero fr.enc.nclocks in
+    List.iter
+      (fun s0 ->
+        K.Scratch.load ctx0.scr z_init;
+        let v0 = enabled_vec fr.enc ctx0 s0 in
+        let p0 = initial_phase s0 in
+        step_and_store fr ctx0 ~pre:v0 ~post:v0 ~ci:(-1)
+          (if p0 = Idle then `Free else `Keep)
+          s0 p0)
+      fr.enc.cenc.Clock_enc.aut.Ioa.start
+
+  (* How one exploration ended. *)
+  type ending = Fixpoint | Answered of exn | Exhausted of exhausted
+
+  (* The sequential core.  Locations are drained in FIFO order, one
+     batch of pending zones each, largest zone first.
 
      With a [pool] of size > 1 the engine runs speculate-then-commit
-     per popped location batch: workers compute the pure DBM successor
-     pipelines of the batch in parallel on per-domain scratches, then
-     the main domain replays the outcomes in exact sequential order —
-     edge counting, observer probes, interning, subsumption, storing,
+     per popped location batch: workers compute the pure successor
+     pipelines of the batch in parallel on their own contexts, then the
+     main domain replays the outcomes in exact sequential order — edge
+     counting, observer probes, interning, subsumption, storing,
      queueing all happen at commit.  Every state-mutating decision is
-     thus made in the sequential order, so verdicts, the reachable
-     set, and every counter (including [zones.stored] and
-     [zones.subsumed]) are bit-identical to the sequential engine at
-     any domain count.  The only speculative waste is computing
-     successors of entries that a same-batch commit prunes; their
-     results are discarded exactly where the sequential engine would
-     have skipped the dead entry.  [observe] and the automaton's
-     [delta] must be pure — they run on worker domains.
+     thus made in the sequential order, so verdicts, the reachable set,
+     and every counter (including [zones.stored] and [zones.subsumed])
+     are bit-identical to the sequential engine at any domain count.
+     The only speculative waste is computing successors of entries that
+     a same-batch commit prunes; their results are discarded exactly
+     where the sequential engine would have skipped the dead entry.
+     [observe] and the automaton's [delta] must be pure — they run on
+     worker domains.
 
      Checkpointing discipline: snapshots, the (deterministic) zone
      budget, and cooperative interrupts all act only at batch
-     boundaries — the top of the drain loop — where the frontier state
-     is exactly [cells]/[pending]/[locq] and (under a pool) every
-     worker has quiesced at the [parallel_for] commit barrier.  That is
-     what makes a resumed run replay the identical commit sequence.
-     The wall-clock deadline is the one check allowed to fire
-     mid-batch (per successor pipeline, so one slow pipeline cannot
-     overshoot by more than one zone expansion); its final snapshot
-     re-queues the unfinished remainder of the current batch, which
-     keeps resumption sound (subsumption absorbs re-derived
-     successors) at the cost of exact counter equality — the deadline
-     is documented as non-deterministic anyway. *)
-  let explore (type s a) ?(limit = 200_000) ?deadline_s ?pool ?checkpoint
-      ?resume ~fingerprint:fp
-      (enc : (s, a) enc)
-      ~(initial_phase : s -> phase)
-      ~(observe :
-         phase -> s -> a -> s -> sat:(int -> int -> Dbm_bound.t -> bool)
-         -> (phase * [ `Reset | `Free | `Keep ], string) result)
-      ~(inspect : phase -> s -> K.t -> unit) =
-    let a = enc.cenc.Clock_enc.aut in
-    let nclasses = enc.cenc.Clock_enc.nclasses in
-    let store =
-      Hstore.create
-        ~equal:(fun (s1, p1) (s2, p2) -> p1 = p2 && a.Ioa.equal_state s1 s2)
-        ~hash:(fun (s, p) ->
-          (a.Ioa.hash_state s * 2) + match p with Idle -> 0 | Armed -> 1)
-        256
+     boundaries — the top of the drain loop — where (under a pool)
+     every worker has quiesced at the [parallel_for] commit barrier.
+     That is what makes a resumed run replay the identical commit
+     sequence.  The wall-clock deadline is the one check allowed to
+     fire mid-batch; its final snapshot re-queues the unfinished
+     remainder of the current batch, which keeps resumption sound
+     (subsumption absorbs re-derived successors) at the cost of exact
+     counter equality — the deadline is documented as
+     non-deterministic anyway. *)
+  let explore fr ~initial_phase =
+    let drain () =
+      (match fr.resume with
+      | Some path -> restore fr path
+      | None -> seed fr ~initial_phase);
+      while
+        boundary_checks fr;
+        not (Queue.is_empty fr.locq)
+      do
+        check_deadline fr;
+        emit_telemetry fr;
+        expand_batch fr (Queue.pop fr.locq)
+      done
     in
-    (* Hash-consed zone store: structurally equal zones become one
-       pointer, so passed-list inclusion checks start with a physical
-       equality hit and hash at most once per distinct zone. *)
-    let zstore = Hstore.create ~equal:K.equal ~hash:K.hash 64 in
-    (* Passed + waiting zones per location id. *)
-    let cells : (int, zentry list ref) Hashtbl.t = Hashtbl.create 64 in
-    (* Waiting list: per-location pending buckets drained in FIFO
-       location order, largest zone first within a bucket. *)
-    let pending : (int, zentry list ref) Hashtbl.t = Hashtbl.create 64 in
-    let locq = Queue.create () in
-    let queued : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    (* Per-state caches of {!Clock_enc.enabled_vec}, shared across
-       observer phases. *)
-    let vec_ids = Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state 64 in
-    let vecs : (int, bool array) Hashtbl.t = Hashtbl.create 64 in
-    let enabled_vec s =
-      let id = match Hstore.add vec_ids s with `Added i | `Present i -> i in
-      match Hashtbl.find_opt vecs id with
-      | Some v -> v
-      | None ->
-          let v = Clock_enc.enabled_vec enc.cenc s in
-          Hashtbl.add vecs id v;
-          v
-    in
-    let scr = K.Scratch.create enc.nclocks in
-    (* One shared satisfiability probe over [scr]: building the partial
-       application here keeps the per-edge [observe] call closure-free. *)
-    let sat_scr i j b = K.Scratch.sat scr i j b in
-    (* The main arena holds every stored zone's payload.
-       It is never reset: everything frozen into it on the sequential
-       path, or copied into it by the commit loop, is a stored zone. *)
-    let arena = K.Arena.create () in
-    (* The one widening applied to every zone before it is stored —
-       LU-bound extrapolation by default, classic max-constant when
-       disabled.  Uniform across kernels and across the sequential,
-       speculative and seeding paths, so [zones.stored] stays identical
-       by construction whatever the kernel or domain count. *)
-    let widen scr =
-      match enc.lu with
-      | Some (lower, upper) -> K.Scratch.extrapolate_lu ~lower ~upper scr
-      | None -> K.Scratch.extrapolate enc.max_const scr
-    in
-    let z_init = K.zero enc.nclocks in
-    let edges = ref 0 in
-    let zone_count = ref 0 in
-    let waiting = ref 0 in
-    let seq = ref 0 in
-    (* This job's baseline of the shared counters, taken before any
-       restore: [value - base] is the delta a snapshot must carry. *)
-    let base_subsumed = Metrics.value c_zones_subsumed in
-    let base_pruned = Metrics.value c_zones_pruned_waiting in
-    let base_interned = Metrics.value c_zones_interned in
-    let exception Unsupported_shape of string in
-    let exception Budget of [ `States | `Deadline | `Interrupt ] in
-    (* Absolute wall-clock deadline; probed at every batch boundary and
-       before every successor pipeline, so a single expensive pipeline
-       cannot overshoot by more than one zone expansion. *)
-    let deadline =
-      match deadline_s with
-      | None -> None
-      | Some d -> Some (Tracing.now_s () +. d)
-    in
-    let check_deadline =
-      match deadline with
-      | None -> fun () -> ()
-      | Some t ->
-          fun () -> if Tracing.now_s () > t then raise (Budget `Deadline)
-    in
-    (* Streaming telemetry.  Observation-only: it reads the loop's own
-       counters and never influences what gets explored, so verdicts
-       and [zones.stored] are byte-identical with telemetry on or off.
-       With neither an event sink nor the progress line active, the
-       per-batch cost is two flag reads and no clock access. *)
-    let t_start =
-      if Events.enabled () || Events.progress_enabled () then
-        Tracing.now_s ()
-      else 0.
-    in
-    let last_emit = ref neg_infinity in
-    let emit_telemetry ?(force = false) ?(ev = "zones.batch") () =
-      if Events.enabled () || Events.progress_enabled () then begin
-        let now = Tracing.now_s () in
-        if force || now -. !last_emit >= 0.05 then begin
-          last_emit := now;
-          let elapsed = now -. t_start in
-          let rate =
-            if elapsed > 0. then float_of_int !zone_count /. elapsed else 0.
-          in
-          if Events.enabled () then begin
-            let queues =
-              match pool with
-              | Some pl when Pool.size pl > 1 ->
-                  [ ( "queues",
-                      Json.List
-                        (Array.to_list
-                           (Array.map
-                              (fun d -> Json.Int d)
-                              (Pool.queue_depths pl))) ) ]
-              | Some _ | None -> []
-            in
-            Events.emit ev
-              ([
-                 ("stored", Json.Int !zone_count);
-                 ("frontier", Json.Int !waiting);
-                 ("locations", Json.Int (Hstore.length store));
-                 ("edges", Json.Int !edges);
-                 ( "subsumed",
-                   Json.Int (Metrics.value c_zones_subsumed - base_subsumed)
-                 );
-                 ( "pruned",
-                   Json.Int
-                     (Metrics.value c_zones_pruned_waiting - base_pruned) );
-                 ("rate", Json.Float rate);
-               ]
-              @ queues)
-          end;
-          let eta_s =
-            (* ETA toward whichever budget will end the run first: the
-               wall-clock deadline, or the state budget at the current
-               rate. *)
-            match deadline with
-            | Some t -> Some (Float.max 0. (t -. now))
-            | None ->
-                if rate > 0. then
-                  Some (float_of_int (max 0 (limit - !zone_count)) /. rate)
-                else None
-          in
-          Events.progress ?eta_s ~stored:!zone_count ~frontier:!waiting
-            ~rate ()
-        end
-      end
-    in
-    let cell_of id =
-      match Hashtbl.find_opt cells id with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.add cells id c;
-          c
-    in
-    (* Store one already-interned zone: subsumption (both directions
-       through the minimal-constraint forms), storing, inspection,
-       queueing.  All callers run on the main domain in sequential
-       commit order, so everything here is deterministic at any domain
-       count. *)
-    let add_interned s p z =
-      let id = match Hstore.add store (s, p) with `Added i | `Present i -> i in
-      let cell = cell_of id in
-      if List.exists (fun e -> K.Min.subsumes e.zmin z) !cell then
-        Metrics.incr c_zones_subsumed
-      else begin
-        let zmin = K.Min.of_zone z in
-        cell :=
-          List.filter
-            (fun e ->
-              if K.Min.subsumes zmin e.z then begin
-                e.alive <- false;
-                if not e.expanded then Metrics.incr c_zones_pruned_waiting;
-                false
-              end
-              else true)
-            !cell;
-        incr seq;
-        let e =
-          {
-            z;
-            zmin;
-            zloose = K.loose z;
-            seq = !seq;
-            alive = true;
-            expanded = false;
-          }
-        in
-        cell := e :: !cell;
-        incr zone_count;
-        Metrics.incr c_zones_stored;
-        inspect p s z;
-        let bucket =
-          match Hashtbl.find_opt pending id with
-          | Some b -> b
-          | None ->
-              let b = ref [] in
-              Hashtbl.add pending id b;
-              b
-        in
-        bucket := e :: !bucket;
-        if not (Hashtbl.mem queued id) then begin
-          Hashtbl.add queued id ();
-          Queue.add id locq
-        end;
-        incr waiting;
-        Metrics.set_max g_waiting_max (float_of_int !waiting)
-      end
-    in
-    (* Sequential path: the surviving successor is still in [scr].  It
-       is hashed and probed in place — a hit never copies the matrix at
-       all; a miss freezes exactly once, into the main arena. *)
-    let add_scratch s p =
-      let h = K.Scratch.hash scr in
-      match
-        Hstore.intern_scratch zstore ~hash:h
-          ~equal:(K.Scratch.equal_zone scr)
-          ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr)
-      with
-      | `Hit z ->
-          Metrics.incr c_zones_interned;
-          add_interned s p z
-      | `Miss z -> add_interned s p z
-    in
-    (* Commit path: the speculated zone was frozen into its worker
-       domain's arena.  Probe it against the store; only a genuine miss
-       is copied into the main arena — the worker arenas rewind at the
-       end of the batch. *)
-    let add_spec s p z =
-      match
-        Hstore.intern_scratch zstore ~hash:(K.hash z)
-          ~equal:(fun k -> K.equal k z)
-          ~freeze:(fun () -> K.copy_into arena z)
-      with
-      | `Hit z ->
-          Metrics.incr c_zones_interned;
-          add_interned s p z
-      | `Miss z -> add_interned s p z
-    in
-    (* The unfinished tail of the batch being drained: the entry under
-       expansion plus the ones not yet reached.  Only a mid-batch
-       deadline can observe a nonempty tail; it is folded back into the
-       snapshot so no committed-but-unexpanded work is lost. *)
-    let batch_loc = ref (-1) in
-    let batch_left : zentry list ref = ref [] in
-    let pop_batch_left () =
-      batch_left := (match !batch_left with _ :: t -> t | [] -> [])
-    in
-    (* ---------------- checkpointing ---------------- *)
-    let wrote_snapshot = ref false in
-    let last_snap = ref 0 in
-    let save_snapshot () =
-      match checkpoint with
-      | None -> None
-      | Some (path, _) ->
-          Tracing.with_span "recover.snapshot" @@ fun () ->
-          let p_keys =
-            Array.init (Hstore.length store) (Hstore.key_of_id store)
-          in
-          let p_cells =
-            Array.of_seq
-              (Seq.map
-                 (fun (id, es) -> (id, !es))
-                 (Hashtbl.to_seq cells))
-          in
-          let base_pending =
-            List.of_seq
-              (Seq.map (fun (id, es) -> (id, !es)) (Hashtbl.to_seq pending))
-          in
-          (* Fold the unfinished batch tail back into the frontier. *)
-          let pend, q_extra =
-            match !batch_left with
-            | [] -> (base_pending, [])
-            | tail ->
-                let id = !batch_loc in
-                let merged =
-                  match List.assoc_opt id base_pending with
-                  | Some es -> (id, tail @ es) :: List.remove_assoc id base_pending
-                  | None -> (id, tail) :: base_pending
-                in
-                (merged, if Hashtbl.mem queued id then [] else [ id ])
-          in
-          let p_pending = Array.of_list pend in
-          let p_locq =
-            Array.of_list (q_extra @ List.of_seq (Queue.to_seq locq))
-          in
-          let snap =
-            {
-              p_keys;
-              p_cells;
-              p_pending;
-              p_locq;
-              p_edges = !edges;
-              p_zones = !zone_count;
-              p_seq = !seq;
-              p_subsumed_d = Metrics.value c_zones_subsumed - base_subsumed;
-              p_pruned_d =
-                Metrics.value c_zones_pruned_waiting - base_pruned;
-              p_interned_d = Metrics.value c_zones_interned - base_interned;
-              p_waiting_max = Metrics.gauge_value g_waiting_max;
-            }
-          in
-          let info =
-            Printf.sprintf "zones=%d locations=%d edges=%d" !zone_count
-              (Hstore.length store) !edges
-          in
-          Snapshot.write ~path ~fingerprint:fp ~info
-            (Marshal.to_bytes (snap : s snap) []);
-          wrote_snapshot := true;
-          last_snap := !zone_count;
-          Some path
-    in
-    let restore path =
-      let fp_got, info, payload = Snapshot.read path in
-      if fp_got <> fp then
-        raise
-          (Snapshot.Bad_snapshot
-             (Printf.sprintf
-                "%s: snapshot belongs to a different job\n\
-                \  snapshot: %s\n\
-                \  this run: %s" path fp_got fp));
-      let snap = (Marshal.from_bytes payload 0 : s snap) in
-      (* Dense Hstore ids are assigned in insertion order, so re-adding
-         the keys in id order reproduces every id exactly. *)
-      Array.iter (fun k -> ignore (Hstore.add store k)) snap.p_keys;
-      Array.iter
-        (fun (id, es) ->
-          Hashtbl.replace cells id (ref es);
-          (* Re-seed the hash-consing store.  Marshal preserved the
-             sharing among stored zones, so structurally equal zones
-             are still one pointer and each distinct zone is interned
-             once. *)
-          List.iter (fun e -> ignore (Hstore.intern zstore e.z)) es)
-        snap.p_cells;
-      Array.iter
-        (fun (id, es) -> Hashtbl.replace pending id (ref es))
-        snap.p_pending;
-      Array.iter
-        (fun id ->
-          Queue.add id locq;
-          Hashtbl.replace queued id ())
-        snap.p_locq;
-      edges := snap.p_edges;
-      zone_count := snap.p_zones;
-      seq := snap.p_seq;
-      waiting :=
-        Array.fold_left (fun n (_, es) -> n + List.length es) 0 snap.p_pending;
-      last_snap := !zone_count;
-      (* Replay this job's counter contribution so a resumed run's
-         totals equal an uninterrupted one's. *)
-      Metrics.add c_zones_stored snap.p_zones;
-      Metrics.add c_zone_edges snap.p_edges;
-      Metrics.add c_zones_subsumed snap.p_subsumed_d;
-      Metrics.add c_zones_pruned_waiting snap.p_pruned_d;
-      Metrics.add c_zones_interned snap.p_interned_d;
-      Metrics.set_max g_waiting_max snap.p_waiting_max;
-      Metrics.incr c_resumed;
-      Events.emit "recover.resume"
-        [
-          ("path", Json.String path);
-          ("zones", Json.Int !zone_count);
-          ("edges", Json.Int !edges);
-          ("info", Json.String info);
-        ];
-      Log.info "resumed from %s (%s)" path info;
-      (* Replay [inspect] over the restored frontier in original
-         storage order: reachable-set accumulators see every stored
-         location again, and condition probes re-audit zones that
-         already passed (pure, so they pass again). *)
-      let entries =
-        Hashtbl.fold
-          (fun id es acc ->
-            List.fold_left (fun acc e -> (id, e) :: acc) acc !es)
-          cells []
-      in
-      let entries =
-        List.sort (fun (_, e1) (_, e2) -> compare e1.seq e2.seq) entries
-      in
-      List.iter
-        (fun (id, e) ->
-          let s, p = Hstore.key_of_id store id in
-          inspect p s e.z)
-        entries
-    in
-    (* Batch-boundary discipline: deterministic budget, cooperative
-       interrupt, periodic snapshot — in that order, so an exhausted
-       run never first spends time snapshotting. *)
-    let boundary_checks () =
-      if !zone_count > limit then raise (Budget `States);
-      if Supervisor.interrupt_requested () then raise (Budget `Interrupt);
-      match checkpoint with
-      | Some (_, every) when every > 0 && !zone_count - !last_snap >= every ->
-          ignore (save_snapshot ())
-      | _ -> ()
-    in
-    let expand s p pre z =
-      Array.iter
-        (fun (act, gopt, ci) ->
-          List.iter
-            (fun s' ->
-              incr edges;
-              Metrics.incr c_zone_edges;
-              check_deadline ();
-              K.Scratch.load scr z;
-              (match gopt with
-              | None -> ()
-              | Some (x, b) -> K.Scratch.constrain scr 0 x b);
-              if not (K.Scratch.is_empty scr) then begin
-                match observe p s act s' ~sat:sat_scr with
-                | Error m -> raise (Unsupported_shape m)
-                | Ok (p', y_op) ->
-                    let post = enabled_vec s' in
-                    for i = 0 to nclasses - 1 do
-                      if post.(i) then begin
-                        if ci = i || not pre.(i) then
-                          K.Scratch.reset scr (i + 1)
-                      end
-                      else K.Scratch.free scr (i + 1)
-                    done;
-                    (match (enc.y, y_op) with
-                    | Some y, `Reset -> K.Scratch.reset scr y
-                    | Some y, `Free -> K.Scratch.free scr y
-                    | Some _, `Keep | None, _ -> ());
-                    K.Scratch.up scr;
-                    for i = 0 to nclasses - 1 do
-                      if post.(i) then
-                        match enc.uppers.(i) with
-                        | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-                        | None -> ()
-                    done;
-                    widen scr;
-                    if not (K.Scratch.is_empty scr) then add_scratch s' p'
-              end)
-            (a.Ioa.delta s act))
-        enc.guards
-    in
-    (* Parallel path: pure successor pipeline for one (entry, guard)
-       pair, mirroring [expand]'s inner loop op for op but recording
-       outcomes instead of committing them.  Runs on worker domains;
-       exceptions from [observe] (violation witnesses use local
-       exceptions) are captured and re-raised at the commit point. *)
-    let dctxs =
-      Array.make (match pool with Some p -> Pool.size p | None -> 1) None
-    in
-    let domain_ctx d =
-      match dctxs.(d) with
-      | Some c -> c
-      | None ->
-          let dscr = K.Scratch.create enc.nclocks in
-          let c =
-            {
-              dscr;
-              darena = K.Arena.create ();
-              dvids =
-                Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state
-                  64;
-              dvecs = Hashtbl.create 64;
-              dsat = (fun i j b -> K.Scratch.sat dscr i j b);
-            }
-          in
-          dctxs.(d) <- Some c;
-          c
-    in
-    let denabled_vec dc s' =
-      let id =
-        match Hstore.add dc.dvids s' with `Added i | `Present i -> i
-      in
-      match Hashtbl.find_opt dc.dvecs id with
-      | Some v -> v
-      | None ->
-          let v = Clock_enc.enabled_vec enc.cenc s' in
-          Hashtbl.add dc.dvecs id v;
-          v
-    in
-    let speculate dc s p pre z (act, gopt, ci) =
-      List.map
-        (fun s' ->
-          let scr = dc.dscr in
-          K.Scratch.load scr z;
-          (match gopt with
-          | None -> ()
-          | Some (x, b) -> K.Scratch.constrain scr 0 x b);
-          if K.Scratch.is_empty scr then `Skip
-          else
-            match observe p s act s' ~sat:dc.dsat with
-            | exception ex -> `Raised ex
-            | Error m -> `Unsup m
-            | Ok (p', y_op) ->
-                let post = denabled_vec dc s' in
-                for i = 0 to nclasses - 1 do
-                  if post.(i) then begin
-                    if ci = i || not pre.(i) then K.Scratch.reset scr (i + 1)
-                  end
-                  else K.Scratch.free scr (i + 1)
-                done;
-                (match (enc.y, y_op) with
-                | Some y, `Reset -> K.Scratch.reset scr y
-                | Some y, `Free -> K.Scratch.free scr y
-                | Some _, `Keep | None, _ -> ());
-                K.Scratch.up scr;
-                for i = 0 to nclasses - 1 do
-                  if post.(i) then
-                    match enc.uppers.(i) with
-                    | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-                    | None -> ()
-                done;
-                widen scr;
-                if K.Scratch.is_empty scr then `Dead
-                else
-                  `Succ (s', p', K.Scratch.freeze_into dc.darena scr))
-        (a.Ioa.delta s act)
-    in
-    (* Sequential-order replay of one speculated edge. *)
-    let commit_edge out =
-      incr edges;
-      Metrics.incr c_zone_edges;
-      check_deadline ();
-      match out with
-      | `Skip | `Dead -> ()
-      | `Unsup m -> raise (Unsupported_shape m)
-      | `Raised ex -> raise ex
-      | `Succ (s', p', z) -> add_spec s' p' z
-    in
-    let expand_batch_par pl s p pre batch =
-      (* Aliveness is sampled twice, exactly like the sequential loop:
-         entries dead at pop get no tasks; entries killed by an earlier
-         commit of this very batch have their speculation discarded. *)
-      let marks = List.map (fun e -> (e, e.alive)) batch in
-      let alive = Array.of_list (List.filter (fun e -> e.alive) batch) in
-      let ng = Array.length enc.guards in
-      let ntasks = Array.length alive * ng in
-      let res = Array.make (max ntasks 1) [] in
-      Pool.parallel_for pl ~n:ntasks (fun ~domain t ->
-          res.(t) <-
-            speculate (domain_ctx domain) s p pre
-              alive.(t / ng).z
-              enc.guards.(t mod ng));
-      let ai = ref 0 in
-      List.iter
-        (fun (e, was_alive) ->
-          decr waiting;
-          (if was_alive then begin
-             let base = !ai * ng in
-             incr ai;
-             if e.alive then begin
-               e.expanded <- true;
-               for gi = 0 to ng - 1 do
-                 List.iter commit_edge res.(base + gi)
-               done
-             end
-           end);
-          pop_batch_left ())
-        marks;
-      (* Batch boundary: every committed zone was re-homed into the
-         main arena, so whatever the workers froze this batch is now
-         discarded speculative work — rewind the per-domain arenas. *)
-      Array.iter
-        (function Some dc -> K.Arena.reset dc.darena | None -> ())
-        dctxs
-    in
-    let result =
-      try
-        (match resume with
-        | Some path -> restore path
-        | None ->
-            List.iter
-              (fun s0 ->
-                K.Scratch.load scr z_init;
-                let v0 = enabled_vec s0 in
-                for i = 0 to nclasses - 1 do
-                  if not v0.(i) then K.Scratch.free scr (i + 1)
-                done;
-                let p0 = initial_phase s0 in
-                (match enc.y with
-                | Some y when p0 = Idle -> K.Scratch.free scr y
-                | Some _ | None -> ());
-                K.Scratch.up scr;
-                for i = 0 to nclasses - 1 do
-                  if v0.(i) then
-                    match enc.uppers.(i) with
-                    | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-                    | None -> ()
-                done;
-                widen scr;
-                if not (K.Scratch.is_empty scr) then add_scratch s0 p0)
-              a.Ioa.start);
-        while
-          boundary_checks ();
-          not (Queue.is_empty locq)
-        do
-          check_deadline ();
-          emit_telemetry ();
-          let id = Queue.pop locq in
-          Hashtbl.remove queued id;
-          let batch =
-            match Hashtbl.find_opt pending id with
-            | Some b ->
-                let entries = !b in
-                Hashtbl.remove pending id;
-                entries
-            | None -> []
-          in
-          (* Largest zone first: the biggest zone subsumes the most
-             successors, so expanding it first maximizes pruning.  The
-             insertion sequence breaks ties for determinism. *)
-          let batch =
-            List.sort
-              (fun e1 e2 ->
-                if e1.zloose <> e2.zloose then compare e2.zloose e1.zloose
-                else compare e1.seq e2.seq)
-              batch
-          in
-          let s, p = Hstore.key_of_id store id in
-          let pre = enabled_vec s in
-          batch_loc := id;
-          batch_left := batch;
-          (match pool with
-          | Some pl when Pool.size pl > 1 -> expand_batch_par pl s p pre batch
-          | Some _ | None ->
-              List.iter
-                (fun e ->
-                  decr waiting;
-                  (if e.alive then begin
-                     e.expanded <- true;
-                     expand s p pre e.z
-                   end);
-                  pop_batch_left ())
-                batch)
-        done;
-        (* The fixpoint was reached: a leftover snapshot — periodic from
-           this run, or the one this run resumed from when it doubles as
-           the checkpoint path — would only invite resuming a finished
-           job, so drop it.  A file at the checkpoint path this run
-           neither wrote nor consumed is someone else's and stays. *)
-        (match checkpoint with
-        | Some (path, _)
-          when !wrote_snapshot
-               || (match resume with
-                  | Some r -> String.equal r path
-                  | None -> false) -> (
-            try Sys.remove path with Sys_error _ -> ())
-        | _ -> ());
-        emit_telemetry ~force:true ~ev:"zones.done" ();
+    match drain () with
+    | () ->
+        release_checkpoint fr;
+        emit_telemetry ~force:true ~ev:"zones.done" fr;
         Events.progress_clear ();
-        Ok
-          {
-            locations = Hstore.length store;
-            zones = !zone_count;
-            edges = !edges;
-          }
-      with
-      | Unsupported_shape m -> Error (`Unsupported m)
-      | Budget kind ->
-          (* Exhaustion must never masquerade as a verdict: surface the
-             partial stats so the caller can report how far the search
-             got before the budget ran out — and leave a final snapshot
-             behind so none of that work is lost. *)
-          let ck = save_snapshot () in
-          let partial =
-            {
-              locations = Hstore.length store;
-              zones = !zone_count;
-              edges = !edges;
-            }
-          in
-          let reason =
-            match kind with
-            | `States ->
-                Metrics.incr c_budget_states;
-                Printf.sprintf "zone budget exhausted (limit=%d stored zones)"
-                  limit
-            | `Deadline ->
-                Metrics.incr c_budget_deadline;
-                let d = match deadline_s with Some d -> d | None -> 0. in
-                Printf.sprintf "deadline exceeded (%.0f ms)" (d *. 1000.)
-            | `Interrupt ->
-                Metrics.incr c_interrupted;
-                "interrupted (SIGINT/SIGTERM)"
-          in
-          emit_telemetry ~force:true ~ev:"zones.exhausted" ();
-          Events.emit "zones.budget"
-            [
-              ("reason", Json.String reason);
-              ( "checkpoint",
-                match ck with
-                | Some p -> Json.String p
-                | None -> Json.Null );
-            ];
-          Events.progress_clear ();
-          Error (`Budget { reason; partial; checkpoint = ck })
-    in
-    result
+        Fixpoint
+    | exception Answer a ->
+        release_checkpoint fr;
+        Events.progress_clear ();
+        Answered a
+    | exception Budget kind -> Exhausted (exhaust fr kind)
 
-  (* [?domains] scopes a pool around one exploration; [domains <= 1]
-     (the default) never touches the pool machinery. *)
-  let with_domains domains f =
-    match domains with
-    | Some d when d > 1 -> Pool.run ~domains:d (fun p -> f (Some p))
-    | Some _ | None -> f None
+  (* ---------------- entry points ---------------- *)
 
   let span_args domains =
-    [ ("domains", string_of_int (match domains with Some d -> max 1 d | None -> 1)) ]
+    [ ("domains", string_of_int (max 1 (Option.value domains ~default:1))) ]
+
+  (* The runner the three entry points share: fingerprint, pool, one
+     exploration.  Returns the finished frontier with how it ended. *)
+  let run ?(limit = 200_000) ?deadline_s ?domains ?checkpoint ?resume ~kind bm
+      (enc : ('s, _) enc) ~initial_phase ~observe ~inspect =
+    let fp = fingerprint_of ~kind bm enc in
+    let a = enc.cenc.Clock_enc.aut in
+    let go pool =
+      let fr =
+        {
+          enc;
+          observe;
+          inspect;
+          limit;
+          deadline_s;
+          deadline = Option.map (fun d -> Tracing.now_s () +. d) deadline_s;
+          pool;
+          checkpoint;
+          resume;
+          fp;
+          store =
+            Hstore.create
+              ~equal:(fun (s1, p1) (s2, p2) ->
+                p1 = p2 && a.Ioa.equal_state s1 s2)
+              ~hash:(fun (s, p) ->
+                (a.Ioa.hash_state s * 2) + match p with Idle -> 0 | Armed -> 1)
+              256;
+          zstore = Hstore.create ~equal:K.equal ~hash:K.hash 64;
+          arena = K.Arena.create ();
+          cells = Hashtbl.create 64;
+          pending = Hashtbl.create 64;
+          locq = Queue.create ();
+          ctxs =
+            Array.make (match pool with Some p -> Pool.size p | None -> 1) None;
+          edges = 0;
+          zones = 0;
+          waiting = 0;
+          last_seq = 0;
+          base_subsumed = Metrics.value c_zones_subsumed;
+          base_pruned = Metrics.value c_zones_pruned_waiting;
+          base_interned = Metrics.value c_zones_interned;
+          batch_loc = -1;
+          batch_left = [];
+          wrote_snapshot = false;
+          last_snap = 0;
+          t_start = (if telemetry_on () then Tracing.now_s () else 0.);
+          last_emit = neg_infinity;
+        }
+      in
+      (fr, explore fr ~initial_phase)
+    in
+    (* [?domains] scopes a pool around one exploration; [domains <= 1]
+       (the default) never touches the pool machinery. *)
+    match domains with
+    | Some d when d > 1 -> Pool.run ~domains:d (fun p -> go (Some p))
+    | Some _ | None -> go None
 
   let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume
       (a : ('s, 'a) Ioa.t) bm =
     Tracing.with_span "zones.reachable" ~args:(span_args domains) @@ fun () ->
     let enc = make_enc a bm ~with_observer:false ~cond_bounds:None in
-    let fingerprint = fingerprint_of ~kind:"reachable" bm enc in
-    let seen = ref [] in
-    let inspect _ s _ =
-      if not (List.exists (a.Ioa.equal_state s) !seen) then seen := s :: !seen
-    in
     match
-      with_domains domains @@ fun pool ->
-      explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
-        ~initial_phase:(fun _ -> Idle)
-        ~observe:keep_phase
-        ~inspect
+      run ?limit ?deadline_s ?domains ?checkpoint ?resume ~kind:"reachable" bm
+        enc ~initial_phase:(fun _ -> Idle) ~observe:keep_phase
+        ~inspect:(fun _ _ _ -> ())
     with
-    | Ok stats -> (stats, List.rev !seen)
-    | Error (`Unsupported m) -> raise (Open_system m)
-    | Error (`Budget e) -> raise (Out_of_budget e)
+    | fr, Fixpoint ->
+        (* Every location's phase is [Idle] here, so the location store
+           holds each reachable state once, in discovery order. *)
+        ( stats fr,
+          List.init (Hstore.length fr.store) (fun id ->
+              fst (Hstore.key_of_id fr.store id)) )
+    | _, Answered (Unsupported_shape m) -> raise (Open_system m)
+    | _, Answered a -> raise a
+    | _, Exhausted e -> raise (Out_of_budget e)
 
-  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume
-      (a : ('s, 'a) Ioa.t) bm pred =
+  let check_state_invariant (type s) ?limit ?deadline_s ?domains ?checkpoint
+      ?resume (a : (s, _) Ioa.t) bm pred =
     Tracing.with_span "zones.check_state_invariant" ~args:(span_args domains)
     @@ fun () ->
     let enc = make_enc a bm ~with_observer:false ~cond_bounds:None in
-    let fingerprint = fingerprint_of ~kind:"invariant" bm enc in
-    let bad = ref None in
-    let exception Found in
+    let exception Found of s in
     match
-      with_domains domains @@ fun pool ->
-      explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
-        ~initial_phase:(fun _ -> Idle)
-        ~observe:keep_phase
-        ~inspect:(fun _ s _ ->
-          if not (pred s) then begin
-            bad := Some s;
-            raise Found
-          end)
+      run ?limit ?deadline_s ?domains ?checkpoint ?resume ~kind:"invariant" bm
+        enc ~initial_phase:(fun _ -> Idle) ~observe:keep_phase
+        ~inspect:(fun _ s _ -> if not (pred s) then raise (Answer (Found s)))
     with
-    | exception Found -> (
-        match !bad with Some s -> Error s | None -> assert false)
-    | Ok stats -> Ok stats
-    | Error (`Unsupported m) -> raise (Open_system m)
-    | Error (`Budget e) -> raise (Out_of_budget e)
+    | fr, Fixpoint -> Ok (stats fr)
+    | _, Answered (Found s) -> Error s
+    | _, Answered (Unsupported_shape m) -> raise (Open_system m)
+    | _, Answered a -> raise a
+    | _, Exhausted e -> raise (Out_of_budget e)
 
   let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
       (a : ('s, 'a) Ioa.t) bm (c : ('s, 'a) Condition.t) =
@@ -1082,7 +1027,6 @@ module Make (K : Dbm_sig.S) : S = struct
     let enc =
       make_enc a bm ~with_observer:true ~cond_bounds:(Some c.Condition.bounds)
     in
-    let fingerprint = fingerprint_of ~kind:(cond_kind c) bm enc in
     let y = match enc.y with Some y -> y | None -> assert false in
     let bl = Interval.lo c.Condition.bounds in
     let bu = Interval.hi c.Condition.bounds in
@@ -1101,7 +1045,7 @@ module Make (K : Dbm_sig.S) : S = struct
       match p with
       | Armed when pi ->
           (* Occurrence: too early iff the zone admits y < b_l. *)
-          if check_lower && sat y 0 lt_bl then raise Lower;
+          if check_lower && sat y 0 lt_bl then raise (Answer Lower);
           if triggered then Ok (Armed, `Reset) else Ok (Idle, `Free)
       | Armed when triggered ->
           Error
@@ -1116,21 +1060,24 @@ module Make (K : Dbm_sig.S) : S = struct
       | Armed, Some probe ->
           (* Violation iff time can pass the deadline while still armed:
              the zone admits y > q, i.e. 0 − y < −q is satisfiable. *)
-          if K.sat z 0 y probe then raise Upper
+          if K.sat z 0 y probe then raise (Answer Upper)
       | Armed, None | Idle, _ -> ()
     in
     match
-      with_domains domains @@ fun pool ->
-      explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
+      run ?limit ?deadline_s ?domains ?checkpoint ?resume ~kind:(cond_kind c)
+        bm enc
         ~initial_phase:(fun s0 ->
           if c.Condition.t_start s0 then Armed else Idle)
         ~observe ~inspect
     with
-    | Ok stats -> Verified stats
-    | Error (`Unsupported m) -> Unsupported m
-    | Error (`Budget e) -> Unknown e
-    | exception Lower -> Lower_violation { locations = 0; zones = 0; edges = 0 }
-    | exception Upper -> Upper_violation { locations = 0; zones = 0; edges = 0 }
+    | fr, Fixpoint -> Verified (stats fr)
+    (* A violation is found in sequential commit order, so its counts
+       are the same at every domain count and on every kernel. *)
+    | fr, Answered Lower -> Lower_violation (stats fr)
+    | fr, Answered Upper -> Upper_violation (stats fr)
+    | _, Answered (Unsupported_shape m) -> Unsupported m
+    | _, Answered a -> raise a
+    | _, Exhausted e -> Unknown e
 end
 
 module Default = Make (Dbm)

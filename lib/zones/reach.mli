@@ -81,6 +81,8 @@ type exhausted = {
 type outcome =
   | Verified of stats
   | Lower_violation of stats
+      (** with the stats counted when the violation was found — the
+          same at every domain count and on every kernel *)
   | Upper_violation of stats
   | Unknown of exhausted
       (** The search exhausted its zone or wall-clock budget (or was
@@ -117,10 +119,10 @@ exception Out_of_budget of exhausted
 
     Every entry point also takes [?domains] (default 1): with
     [domains > 1] the exploration runs on a [Tm_par.Pool] of that many
-    domains in speculate-then-commit style — successor DBM pipelines
-    are computed in parallel on per-domain scratch arenas and
-    enabled-vector caches, and the main domain replays the results in
-    exact sequential order.  Verdicts, the reachable base-state set,
+    domains in speculate-then-commit style — successors are computed in
+    parallel, each domain on its own expansion context (scratch,
+    speculation arena, enabled-vector cache), and the main domain
+    replays the results in exact sequential order.  Verdicts, the reachable base-state set,
     and every counter ([zones.stored], [zones.subsumed], edge counts,
     deterministic budget exhaustion) are bit-identical to [domains = 1]
     at any domain count; only wall-clock time changes.
@@ -129,8 +131,11 @@ exception Out_of_budget of exhausted
     every [every] newly stored zones ([every <= 0]: only final
     snapshots), and always on budget exhaustion or a cooperative
     interrupt ([Tm_recover.Supervisor]) — the resulting
-    {!exhausted.checkpoint} tells the caller where.  A checkpoint left
-    behind by a run that then completes is removed.  [?resume:path]
+    {!exhausted.checkpoint} tells the caller where.  A run that ends
+    with an answer — a fixpoint, a violation or an unsupported shape —
+    removes the checkpoint it wrote, or the one it resumed from when
+    that is the checkpoint path; exhaustion, an interrupt or a crash
+    keeps it.  [?resume:path]
     restores a snapshot instead of seeding from the initial states and
     continues the fixpoint exactly; it raises
     [Tm_recover.Snapshot.Bad_snapshot] on a corrupt, truncated,
@@ -143,8 +148,8 @@ module type S = sig
     ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> stats * 's list
   (** Timed reachability: explored stats and the base states reachable
       under the timing assumptions (a subset of the untimed reachable
-      set).  After a resume the list holds the same states, though not
-      necessarily in first-discovery order.
+      set), in first-discovery order — also after a resume, which
+      restores every location id.
       @raise Out_of_budget when a budget is exhausted. *)
 
   val check_state_invariant :

@@ -249,6 +249,40 @@ let test_lu_domain_invariance () =
         (List.sort compare r = rbase))
     [ 2; 4 ]
 
+(* A violation reports the locations, zones and edges counted when it
+   was found.  Commit replays edges in sequential order, so the counts
+   are the same at every domain count and on every kernel. *)
+let test_violation_stats () =
+  let stats_of = function
+    | Reach.Lower_violation st | Reach.Upper_violation st -> st
+    | _ -> Alcotest.fail "expected a violation"
+  in
+  List.iter
+    (fun (name, c) ->
+      let runs =
+        List.concat_map
+          (fun (module E : Reach.S) ->
+            List.map
+              (fun d -> stats_of (E.check_condition ~domains:d sys bm c))
+              [ 1; 2 ])
+          [ (module Reach.Int : Reach.S); (module Reach.Ref) ]
+      in
+      let st = List.hd runs in
+      Alcotest.(check bool)
+        (name ^ ": locations, zones and edges are counted")
+        true
+        (st.Reach.locations > 0 && st.Reach.zones > 0 && st.Reach.edges > 0);
+      List.iter
+        (fun st' ->
+          Alcotest.(check bool)
+            (name ^ ": same counts at 1/2 domains, int and ref")
+            true (st' = st))
+        runs)
+    [
+      ("upper", g1_with (q 6) (Time.of_int 9));
+      ("lower", g1_with (q 7) (Time.of_int 10));
+    ]
+
 let suite =
   [
     Alcotest.test_case "manager bounds verified" `Quick
@@ -276,4 +310,6 @@ let suite =
       test_lu_metamorphic_reachable;
     Alcotest.test_case "LU metamorphic: domain invariance" `Quick
       test_lu_domain_invariance;
+    Alcotest.test_case "violations report their stats" `Quick
+      test_violation_stats;
   ]

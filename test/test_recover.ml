@@ -470,6 +470,57 @@ let completed_run_removes_checkpoint () =
   Alcotest.(check bool)
     "checkpoint removed on completion" false (Sys.file_exists ck)
 
+(* A run that ends with a definite answer leaves nothing to resume, so
+   the checkpoint it wrote goes with it — whether the answer is a
+   violation or an unsupported shape.  Only an exhausted budget or an
+   interrupt keeps one (see the kill+resume tests above). *)
+let verdict_removes_checkpoint () =
+  let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p in
+  let bad = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:3 ~b:2 ~b2:3 ~e:2 in
+  let check name run =
+    let ck = tmp_ck () in
+    Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+    let w0 = Metrics.value c_written in
+    run ck;
+    Alcotest.(check bool)
+      (name ^ ": periodic snapshots were written")
+      true
+      (Metrics.value c_written > w0);
+    Alcotest.(check bool)
+      (name ^ ": checkpoint removed") false (Sys.file_exists ck)
+  in
+  check "invariant violated" (fun ck ->
+      match
+        Reach.Int.check_state_invariant ~checkpoint:(ck, 1) (F.system bad)
+          (F.boundmap bad) F.mutual_exclusion
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a > b must break mutual exclusion");
+  let tight =
+    {
+      (F.u_enter p) with
+      Condition.bounds = Interval.make p.F.b (Time.Fin (Gen.qq 5 2));
+    }
+  in
+  check "upper violation" (fun ck ->
+      match Reach.Default.check_condition ~checkpoint:(ck, 1) sys bm tight with
+      | Reach.Upper_violation _ -> ()
+      | _ -> Alcotest.fail "tightened upper must be refuted");
+  (* Every step triggers and none is in Pi: the second step fires the
+     trigger while armed, which the observer cannot express. *)
+  let always =
+    Condition.make ~name:"always"
+      ~t_step:(fun _ _ _ -> true)
+      ~bounds:(Interval.of_ints 1 5)
+      ~in_pi:(fun _ -> false)
+      ()
+  in
+  check "unsupported" (fun ck ->
+      match Reach.Int.check_condition ~checkpoint:(ck, 1) sys bm always with
+      | Reach.Unsupported _ -> ()
+      | _ -> Alcotest.fail "a trigger while armed must be unsupported")
+
 let resume_rejects_wrong_job () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
@@ -607,6 +658,8 @@ let suite =
       `Quick cooperative_interrupt_resume;
     Alcotest.test_case "checkpoint: removed when the run completes" `Quick
       completed_run_removes_checkpoint;
+    Alcotest.test_case "checkpoint: removed when the run ends with a verdict"
+      `Quick verdict_removes_checkpoint;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
     Alcotest.test_case "paranoid: clean run agrees with fast" `Quick
