@@ -33,15 +33,23 @@ let check_in iv env =
 let exact_matches iv (lo, hi) =
   Time.equal lo (Time.Fin (Interval.lo iv)) && Time.equal hi (Interval.hi iv)
 
-(* GC accounting for the allocation ablation (E17): run [f] and return
-   its result together with the minor words allocated, total allocated
-   bytes, and the major-heap peak (top_heap_words) observed over the
-   run.  OCaml 5 GC stats are domain-local, so callers that want
+(* GC accounting for the allocation report (E17): run [f] and return
+   its result together with the minor words and the major words it
+   allocated, total allocated bytes, and the major-heap peak
+   (top_heap_words) observed over the run.  Word counts come from
+   [Gc.counters], which reads the minor heap's allocation pointer and so
+   is exact at any moment; [Gc.quick_stat]'s [minor_words] only advances
+   at a minor collection, which quantizes a short run's figure to whole
+   minor heaps.  OCaml 5 GC stats are domain-local, so callers that want
    deterministic figures must keep the measured work on this domain. *)
 let with_gc_stats f =
   let b0 = Gc.allocated_bytes () in
-  let g0 = Gc.quick_stat () in
+  let minor0, _, major0 = Gc.counters () in
   let r = f () in
-  let g1 = Gc.quick_stat () in
+  let minor1, _, major1 = Gc.counters () in
   let b1 = Gc.allocated_bytes () in
-  (r, g1.Gc.minor_words -. g0.Gc.minor_words, b1 -. b0, g1.Gc.top_heap_words)
+  ( r,
+    minor1 -. minor0,
+    major1 -. major0,
+    b1 -. b0,
+    (Gc.quick_stat ()).Gc.top_heap_words )

@@ -7,7 +7,10 @@
     carries the invariant [x_C <= b_u(C)] for every enabled class; a
     step resets the clocks of classes that fire or become (re-)enabled
     and frees those of classes disabled in the target (activity
-    reduction). *)
+    reduction).  {!Reach} goes one step further and gives a location
+    clocks for its enabled classes only (its slot map), so it uses the
+    class indices, guards and enabledness from here but not the clock
+    numbering or [step_ops]. *)
 
 exception Open_system of string
 (** The encoding needs a closed system (no input actions) whose classes
@@ -37,8 +40,7 @@ val class_index : ('s, 'a) t -> 'a -> int option
 
 val enabled_vec : ('s, 'a) t -> 's -> bool array
 (** Per-class enabledness in a state, indexed by class index.  {!Reach}
-    caches this per discrete location so [step_ops]-style decisions are
-    array reads instead of repeated [Ioa.class_enabled] scans. *)
+    builds each discrete location's slot map from it, once per state. *)
 
 val guard : ('s, 'a) t -> 'a -> (int * Tm_base.Rational.t) option
 (** [(clock, b_l)] when the action's class has a positive lower bound. *)

@@ -29,6 +29,7 @@ let c_constrain = op "constrain"
 let c_up = op "up"
 let c_reset = op "reset"
 let c_free = op "free"
+let c_remap = op "remap"
 let c_intersect = op "intersect"
 let c_includes = op "includes"
 let c_extrapolate = op "extrapolate"
@@ -165,9 +166,16 @@ let free_arr n m x =
    bound value per clock keeps the sweep allocation-free — the scratch
    caches this array per exploration under the physical identity of
    [upper]. *)
+let lu_negs_into n upper negs =
+  for j = 0 to n - 1 do
+    negs.(j) <-
+      (match upper.(j) with None -> Inf | Some u -> Lt (Rational.neg u))
+  done
+
 let lu_negs n upper =
-  Array.init n (fun j ->
-      match upper.(j) with None -> Inf | Some u -> Lt (Rational.neg u))
+  let negs = Array.make n Inf in
+  lu_negs_into n upper negs;
+  negs
 
 let extrapolate_lu_wide n m lower nlt =
   let changed = ref false in
@@ -495,9 +503,10 @@ module Scratch = struct
     mutable sempty : bool;
     mutable ssrc : t option;
     (* [lu_negs] of the last ~upper seen, cached under its physical
-       identity: one conversion per exploration, not one per edge. *)
+       identity: consecutive pipelines into one location layout share
+       the array, so the row is only refilled when the layout changes. *)
     mutable slu_upper : Rational.t option array;
-    mutable slu_negs : bnd array;
+    slu_negs : bnd array;
   }
 
   let create n =
@@ -508,7 +517,7 @@ module Scratch = struct
       sempty = true;
       ssrc = None;
       slu_upper = [||];
-      slu_negs = [||];
+      slu_negs = Array.make n Inf;
     }
 
   let load s z =
@@ -541,6 +550,24 @@ module Scratch = struct
     if x < 1 || x >= s.sn then invalid_arg "Dbm.Scratch.free";
     if not s.sempty then free_arr s.sn s.sm x
 
+  let remap ~src map ~dst =
+    Metrics.incr c_remap;
+    let n = src.sn and m = dst.sn in
+    if src == dst || Array.length map <> m || map.(0) <> 0 then
+      invalid_arg "Dbm.Scratch.remap";
+    for j = 1 to m - 1 do
+      if map.(j) < 0 || map.(j) >= n then invalid_arg "Dbm.Scratch.remap"
+    done;
+    dst.sempty <- src.sempty;
+    dst.ssrc <- src.ssrc;
+    if not src.sempty then
+      for i = 0 to m - 1 do
+        let ri = map.(i) * n and di = i * m in
+        for j = 0 to m - 1 do
+          dst.sm.(di + j) <- src.sm.(ri + map.(j))
+        done
+      done
+
   let extrapolate mc s =
     Metrics.incr c_extrapolate;
     if (not s.sempty) && extrapolate_arr s.sn s.sm mc (Rational.neg mc) then
@@ -550,7 +577,7 @@ module Scratch = struct
     Metrics.incr c_extrapolate;
     if not s.sempty then begin
       if s.slu_upper != upper then begin
-        s.slu_negs <- lu_negs s.sn upper;
+        lu_negs_into s.sn upper s.slu_negs;
         s.slu_upper <- upper
       end;
       if extrapolate_lu_wide s.sn s.sm lower s.slu_negs then

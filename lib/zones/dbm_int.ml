@@ -31,6 +31,7 @@ let c_constrain = op "constrain"
 let c_up = op "up"
 let c_reset = op "reset"
 let c_free = op "free"
+let c_remap = op "remap"
 let c_intersect = op "intersect"
 let c_includes = op "includes"
 let c_extrapolate = op "extrapolate"
@@ -205,13 +206,16 @@ let extrapolate_arr n m mc neg_mc =
    lower bound is -inf, encoded [min_int] so every constant exceeds
    it) and [nuc.(j) = -ceil U_j] ([None] upper encoded [max_int],
    meaning wipe). *)
+let lu_thresholds_into n lower upper lceil nuc =
+  for k = 0 to n - 1 do
+    lceil.(k) <- (match lower.(k) with None -> min_int | Some l -> ceil_int l);
+    nuc.(k) <- (match upper.(k) with None -> max_int | Some u -> -ceil_int u)
+  done
+
 let lu_thresholds n lower upper =
   let lceil = Array.make n min_int in
   let nuc = Array.make n max_int in
-  for k = 0 to n - 1 do
-    (match lower.(k) with None -> () | Some l -> lceil.(k) <- ceil_int l);
-    match upper.(k) with None -> () | Some u -> nuc.(k) <- -ceil_int u
-  done;
+  lu_thresholds_into n lower upper lceil nuc;
   (lceil, nuc)
 
 let extrapolate_lu_packed n m lceil nuc =
@@ -607,13 +611,13 @@ module Scratch = struct
     mutable sempty : bool;
     mutable ssrc : t option;
     (* LU thresholds, cached under the physical identity of the bound
-       arrays: an exploration extrapolates every pipeline with the same
-       two arrays, so the rational-to-int conversion runs once per
-       exploration instead of once per edge. *)
+       arrays: consecutive pipelines into one location layout share the
+       two arrays, so the rational-to-int conversion only re-runs when
+       the layout changes, and then refills these rows in place. *)
     mutable slu_lower : Rational.t option array;
     mutable slu_upper : Rational.t option array;
-    mutable slu_lceil : int array;
-    mutable slu_nuc : int array;
+    slu_lceil : int array;
+    slu_nuc : int array;
   }
 
   let create n =
@@ -625,8 +629,8 @@ module Scratch = struct
       ssrc = None;
       slu_lower = [||];
       slu_upper = [||];
-      slu_lceil = [||];
-      slu_nuc = [||];
+      slu_lceil = Array.make n min_int;
+      slu_nuc = Array.make n max_int;
     }
 
   let load s z =
@@ -660,6 +664,25 @@ module Scratch = struct
     if x < 1 || x >= s.sn then invalid_arg "Dbm_int.Scratch.free";
     if not s.sempty then free_arr s.sn s.sm x
 
+  let remap ~src map ~dst =
+    Metrics.incr c_remap;
+    let n = src.sn and m = dst.sn in
+    if src == dst || Array.length map <> m || map.(0) <> 0 then
+      invalid_arg "Dbm_int.Scratch.remap";
+    for j = 1 to m - 1 do
+      if map.(j) < 0 || map.(j) >= n then invalid_arg "Dbm_int.Scratch.remap"
+    done;
+    dst.sempty <- src.sempty;
+    dst.ssrc <- src.ssrc;
+    if not src.sempty then
+      for i = 0 to m - 1 do
+        let ri = map.(i) * n and di = i * m in
+        for j = 0 to m - 1 do
+          Array.unsafe_set dst.sm (di + j)
+            (Array.unsafe_get src.sm (ri + Array.unsafe_get map j))
+        done
+      done
+
   let extrapolate mc s =
     Metrics.incr c_extrapolate;
     if not (Rational.is_integer mc) then
@@ -672,11 +695,9 @@ module Scratch = struct
     Metrics.incr c_extrapolate;
     if not s.sempty then begin
       if s.slu_lower != lower || s.slu_upper != upper then begin
-        let lceil, nuc = lu_thresholds s.sn lower upper in
+        lu_thresholds_into s.sn lower upper s.slu_lceil s.slu_nuc;
         s.slu_lower <- lower;
-        s.slu_upper <- upper;
-        s.slu_lceil <- lceil;
-        s.slu_nuc <- nuc
+        s.slu_upper <- upper
       end;
       if extrapolate_lu_packed s.sn s.sm s.slu_lceil s.slu_nuc then
         ignore (canonicalize_arr s.sn s.sm)

@@ -183,6 +183,18 @@ module Scratch = struct
       if s.int_checking then Dbm_int.Scratch.free s.intk x
     end
 
+  (* The target inherits the source's sampling decision, so a checked
+     pipeline stays mirrored across the change of dimension. *)
+  let remap ~src map ~dst =
+    Dbm.Scratch.remap ~src:src.fast map ~dst:dst.fast;
+    dst.checking <- src.checking;
+    dst.int_checking <- src.int_checking;
+    if dst.checking then begin
+      Dbm_ref.Scratch.remap ~src:src.refk map ~dst:dst.refk;
+      if dst.int_checking then
+        Dbm_int.Scratch.remap ~src:src.intk map ~dst:dst.intk
+    end
+
   let extrapolate mc s =
     Dbm.Scratch.extrapolate mc s.fast;
     if s.checking then begin

@@ -309,6 +309,24 @@ module Scratch = struct
   let up s = s.cur <- up s.cur
   let reset s x = s.cur <- reset s.cur x
   let free s x = s.cur <- free s.cur x
+
+  (* Straight from the definition: entry (i, j) of the result is entry
+     (map i, map j) of the source. *)
+  let remap ~src map ~dst =
+    let z = src.cur in
+    let m = Array.length map in
+    if src == dst || m <> dst.cur.n || map.(0) <> 0 then
+      invalid_arg "Dbm_ref.Scratch.remap";
+    Array.iter
+      (fun c -> if c < 0 || c >= z.n then invalid_arg "Dbm_ref.Scratch.remap")
+      map;
+    dst.cur <-
+      {
+        n = m;
+        m = Array.init (m * m) (fun k -> get z map.(k / m) map.(k mod m));
+        empty = z.empty;
+      };
+    dst.src <- src.src
   let extrapolate mc s = s.cur <- extrapolate mc s.cur
 
   let extrapolate_lu ~lower ~upper s =

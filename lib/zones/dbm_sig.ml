@@ -125,10 +125,11 @@ module type S = sig
     (** Number of kept constraints (diagnostic / bench column). *)
   end
 
-  (** Destructive operations on a reusable scratch matrix.  One scratch
-      lives for a whole exploration; each edge loads a stored zone,
-      applies the guard/reset/delay/invariant pipeline in place, and
-      freezes the result only if it survives. *)
+  (** Destructive operations on a reusable scratch matrix.  Scratches
+      live for a whole exploration; each edge loads a stored zone,
+      applies its guard, remaps it onto the target location's clocks
+      in a second scratch, applies the delay/invariant pipeline there
+      in place, and freezes the result only if it survives. *)
   module Scratch : sig
     type scratch
 
@@ -142,6 +143,20 @@ module type S = sig
     val up : scratch -> unit
     val reset : scratch -> int -> unit
     val free : scratch -> int -> unit
+
+    val remap : src:scratch -> int array -> dst:scratch -> unit
+    (** [remap ~src map ~dst] rebuilds [dst] over new clocks: clock [j]
+        of [dst] copies clock [map.(j)] of [src], and [0] in the map
+        means a fresh clock at 0 (a copy of the reference clock).
+        [Array.length map] must be [dst] 's dimension, [map.(0)] must
+        be [0], and [src] and [dst] must be distinct.  Entry [(i, j)]
+        of the result is entry [(map.(i), map.(j))] of the source: a
+        projection onto the kept clocks plus copies of the reference
+        clock, so a canonical source gives a canonical result with no
+        re-closure.  Source clocks missing from the map are dropped,
+        which is [free] followed by projection.  [dst] freezes to the
+        zone [src] was loaded from when the result equals it. *)
+
     val extrapolate : Tm_base.Rational.t -> scratch -> unit
 
     val extrapolate_lu :

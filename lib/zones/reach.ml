@@ -102,27 +102,38 @@ end
    construction, which the CI determinism guard and the differential
    harness both rely on. *)
 module Make (K : Dbm_sig.S) : S = struct
-  (* The zone engine's view of the encoding: the shared class clocks of
-     {!Clock_enc} (DBM indices 1..n, index 0 is the reference), plus an
-     optional observer clock.  Guards and invariants are precomputed
-     into arrays so the per-edge pipeline does no boundmap lookups and
-     allocates no bound values. *)
+  (* The zone engine's view of the encoding.  Every discrete location
+     gets its own clocks (its {!layout}): clock 0 is the reference, the
+     observer clock (when there is one) sits at the fixed index 1, and
+     the location's enabled classes follow in class-index order.  A
+     class that is not enabled has [Ft = 0] and [Lt = inf] in
+     time(A,b), so it carries no timing information and gets no clock.
+     Guards, invariants and LU bounds are precomputed per class so the
+     per-edge pipeline does no boundmap lookups and allocates no bound
+     values. *)
   type ('s, 'a) enc = {
     cenc : ('s, 'a) Clock_enc.t;
-    nclocks : int;  (** DBM dimension *)
-    y : int option;  (** observer clock *)
+    observer : (Rational.t option * Rational.t option) option;
+        (** the observer clock's LU bounds, when there is one *)
+    first : int;  (** the first class clock: 1, or 2 behind the observer *)
     max_const : Rational.t;
-    guards : ('a * (int * Dbm_bound.t) option * int) array;
-        (** per action: guard [(clock, Le (-b_l))] and class index
-            ([-1] when classless) *)
+    guards : ('a * Dbm_bound.t option * int) array;
+        (** per action: guard bound [Le (-b_l)] on its class's clock,
+            and the class index ([-1] when classless) *)
     uppers : Dbm_bound.t option array;
         (** per class index: invariant bound [Le b_u] when finite *)
-    lu : (Rational.t option array * Rational.t option array) option;
-        (** per DBM clock LU-extrapolation bounds, [None] when LU is
-            disabled (fall back to max-constant widening) *)
+    lu : bool;
+        (** LU widening over each layout's bounds; [false] falls back to
+            max-constant widening *)
+    class_lu : (Rational.t option * Rational.t option) array;
+        (** per class index: its clock's LU bounds *)
   }
 
-  let make_enc a bm ~with_observer ~cond_bounds =
+  (* The observer clock's fixed DBM index. *)
+  let y = 1
+
+  (* A condition check ([cond_bounds] given) adds the observer clock. *)
+  let make_enc a bm ~cond_bounds =
     let cenc = Clock_enc.make a bm in
     let max_const =
       match cond_bounds with
@@ -133,7 +144,6 @@ module Make (K : Dbm_sig.S) : S = struct
           | Time.Fin q -> Rational.max m q
           | Time.Inf -> m)
     in
-    let nreal = cenc.Clock_enc.nclasses in
     let guards =
       Array.of_list
         (List.map
@@ -141,8 +151,7 @@ module Make (K : Dbm_sig.S) : S = struct
              let g =
                match Clock_enc.guard cenc act with
                | None -> None
-               | Some (x, bl) ->
-                   Some (x, Dbm_bound.Le (Rational.neg bl))
+               | Some (_, bl) -> Some (Dbm_bound.Le (Rational.neg bl))
              in
              let ci =
                match Clock_enc.class_index cenc act with
@@ -160,57 +169,90 @@ module Make (K : Dbm_sig.S) : S = struct
           | Time.Inf -> None)
         cenc.Clock_enc.classes
     in
-    let nclocks = nreal + 1 + (if with_observer then 1 else 0) in
-    let y = if with_observer then Some (nreal + 1) else None in
-    let lu =
-      if lu_disabled () then None
-      else begin
-        (* L(x) / U(x) must dominate every constant the exploration
-           ever compares clock x against.  Class clocks only meet their
-           guard (x >= b_l, a lower comparison) and their invariant
-           (x <= b_u, an upper comparison) — {!Boundmap.lu_bounds}.
-           The observer clock is only met by the condition probes, and
-           those INVERT: [y < b_l] is an upper-type comparison (so b_l
-           feeds U(y)) and [y > b_u] is a lower-type one (so b_u feeds
-           L(y)).  The reference clock carries [Some 0] on both sides.
-           A clock with no comparison on a side keeps [None] (-inf)
-           there, which wipes the corresponding entries — inactive
-           clocks vanish from the zone for free. *)
-        let lower = Array.make nclocks None in
-        let upper = Array.make nclocks None in
-        lower.(0) <- Some Rational.zero;
-        upper.(0) <- Some Rational.zero;
-        Array.iteri
-          (fun i c ->
-            let l, u = Boundmap.lu_bounds bm c in
-            lower.(i + 1) <- l;
-            upper.(i + 1) <- u)
-          cenc.Clock_enc.classes;
-        (match (y, cond_bounds) with
-        | Some yi, Some iv ->
-            let bl = Interval.lo iv in
-            if Rational.sign bl > 0 then upper.(yi) <- Some bl;
-            (match Interval.hi iv with
-            | Time.Fin q -> lower.(yi) <- Some q
-            | Time.Inf -> ())
-        | Some _, None | None, _ -> ());
-        Some (lower, upper)
-      end
+    (* L(x) / U(x) must dominate every constant the exploration ever
+       compares clock x against.  Class clocks only meet their guard
+       (x >= b_l, a lower comparison) and their invariant (x <= b_u, an
+       upper comparison) — {!Boundmap.lu_bounds}.  The observer clock is
+       only met by the condition probes, and those INVERT: [y < b_l] is
+       an upper-type comparison (so b_l feeds U(y)) and [y > b_u] is a
+       lower-type one (so b_u feeds L(y)).  A clock with no comparison
+       on a side keeps [None] (-inf) there, which wipes the
+       corresponding entries. *)
+    let observer =
+      match cond_bounds with
+      | Some iv ->
+          let bl = Interval.lo iv in
+          Some
+            ( (match Interval.hi iv with
+              | Time.Fin q -> Some q
+              | Time.Inf -> None),
+              if Rational.sign bl > 0 then Some bl else None )
+      | None -> None
     in
-    { cenc; nclocks; y; max_const; guards; uppers; lu }
+    {
+      cenc;
+      observer;
+      first = (if observer = None then 1 else 2);
+      max_const;
+      guards;
+      uppers;
+      lu = not (lu_disabled ());
+      class_lu = Array.map (Boundmap.lu_bounds bm) cenc.Clock_enc.classes;
+    }
+
+  (* One discrete location's clocks.  Locations with the same enabled
+     classes share one layout, and with it the physical identity of the
+     LU arrays the kernels cache their thresholds under. *)
+  type layout = {
+    dim : int;  (** DBM dimension *)
+    slot : int array;
+        (** per class index: its DBM clock, [0] when the class is not
+            enabled — the value a remap reads as "reset to 0" *)
+    cls : int array;  (** per DBM clock from [first]: its class index *)
+    lower : Rational.t option array;
+    upper : Rational.t option array;  (** per DBM clock LU bounds *)
+  }
+
+  let make_layout enc (v : bool array) =
+    let dim =
+      Array.fold_left (fun k on -> if on then k + 1 else k) enc.first v
+    in
+    let slot = Array.make (Array.length v) 0 in
+    let cls = Array.make dim (-1) in
+    let lower = Array.make dim None and upper = Array.make dim None in
+    lower.(0) <- Some Rational.zero;
+    upper.(0) <- Some Rational.zero;
+    (match enc.observer with
+    | Some (l, u) ->
+        lower.(y) <- l;
+        upper.(y) <- u
+    | None -> ());
+    let k = ref enc.first in
+    Array.iteri
+      (fun c on ->
+        if on then begin
+          slot.(c) <- !k;
+          cls.(!k) <- c;
+          lower.(!k) <- fst enc.class_lu.(c);
+          upper.(!k) <- snd enc.class_lu.(c);
+          incr k
+        end)
+      v;
+    { dim; slot; cls; lower; upper }
 
   (* The job fingerprint ties a checkpoint to the run shape that wrote
      it: kernel, entry point, and the whole timing side of the encoding
-     (class bounds, max constant, alphabet size, DBM dimension).  It
-     cannot observe the automaton's transition function — that is
+     (class bounds, max constant, alphabet size, class count).  [tmjob2]
+     marks snapshots whose zones are sized by their location's layout.
+     It cannot observe the automaton's transition function — that is
      re-supplied at resume (closures do not marshal) and trusted to be
      the same program calling again. *)
   let fingerprint_of ~kind bm (enc : _ enc) =
     Format.asprintf
-      "tmjob1|kernel=%s|widen=%s|kind=%s|nclocks=%d|maxc=%a|alpha=%d|%a"
+      "tmjob2|kernel=%s|widen=%s|kind=%s|nclasses=%d|maxc=%a|alpha=%d|%a"
       K.name
-      (match enc.lu with Some _ -> "lu" | None -> "maxc")
-      kind enc.nclocks Rational.pp enc.max_const
+      (if enc.lu then "lu" else "maxc")
+      kind enc.cenc.Clock_enc.nclasses Rational.pp enc.max_const
       (Array.length enc.guards)
       (Format.pp_print_list
          ~pp_sep:(fun f () -> Format.pp_print_char f ',')
@@ -222,17 +264,14 @@ module Make (K : Dbm_sig.S) : S = struct
       c.Condition.bounds
 
   let fingerprint_reachable a bm =
-    fingerprint_of ~kind:"reachable" bm
-      (make_enc a bm ~with_observer:false ~cond_bounds:None)
+    fingerprint_of ~kind:"reachable" bm (make_enc a bm ~cond_bounds:None)
 
   let fingerprint_invariant a bm =
-    fingerprint_of ~kind:"invariant" bm
-      (make_enc a bm ~with_observer:false ~cond_bounds:None)
+    fingerprint_of ~kind:"invariant" bm (make_enc a bm ~cond_bounds:None)
 
   let fingerprint_condition a bm c =
     fingerprint_of ~kind:(cond_kind c) bm
-      (make_enc a bm ~with_observer:true
-         ~cond_bounds:(Some c.Condition.bounds))
+      (make_enc a bm ~cond_bounds:(Some c.Condition.bounds))
 
   (* A stored zone doubling as a waiting-list entry.  [alive] is
      cleared when a later, larger zone at the same location subsumes
@@ -275,91 +314,141 @@ module Make (K : Dbm_sig.S) : S = struct
 
   (* ---------------- the successor step ---------------- *)
 
-  (* One expansion context: a private scratch matrix with its
-     satisfiability probe, a bump arena for speculated zones, and a
-     per-state cache of {!Clock_enc.enabled_vec} (its own Hstore, so the
-     single-domain owner assertion holds).  Context [d] belongs to pool
-     domain [d].  Context 0 is the main domain's: it seeds the search,
-     runs the sequential path, and is domain 0 of [Pool.parallel_for].
-     Every context is created lazily by the domain that uses it. *)
-  type 's ctx = {
-    scr : K.Scratch.scratch;
+  (* The scratches of one DBM dimension: [src] holds a loaded source
+     zone under its guard (and [sat] probes it, built once so the
+     per-edge [observe] call allocates no closure); [dst] receives the
+     remap onto a target layout of this dimension, through the reusable
+     slot map [map]. *)
+  type dim_scr = {
+    src : K.Scratch.scratch;
     sat : int -> int -> Dbm_bound.t -> bool;
-        (** probe over [scr], built once so the per-edge [observe] call
-            allocates no closure *)
+    dst : K.Scratch.scratch;
+    map : int array;
+  }
+
+  (* One expansion context: the scratches of each dimension met so far,
+     a bump arena for speculated zones, and a per-state cache of the
+     location's layout (its own Hstore, so the single-domain owner
+     assertion holds), with the layouts themselves shared by
+     enabled-vector content.  Context [d] belongs to pool domain [d].
+     Context 0 is the main domain's: it seeds the search, runs the
+     sequential path, and is domain 0 of [Pool.parallel_for].  Every
+     context, and every scratch in it, is created lazily by the domain
+     that uses it. *)
+  type 's ctx = {
+    scrs : dim_scr option array;  (** indexed by dimension *)
     spec : K.Arena.arena;
         (** speculated zones freeze here; rewound at the end of every
             batch, after the commit loop has copied the survivors into
             the main arena *)
-    vec_ids : 's Hstore.t;
-    vecs : (int, bool array) Hashtbl.t;
+    loc_ids : 's Hstore.t;
+    locs : (int, layout) Hashtbl.t;  (** per [loc_ids] id *)
+    layouts : (string, layout) Hashtbl.t;  (** per enabled vector *)
   }
 
   let make_ctx (enc : ('s, _) enc) =
     let a = enc.cenc.Clock_enc.aut in
-    let scr = K.Scratch.create enc.nclocks in
     {
-      scr;
-      sat = (fun i j b -> K.Scratch.sat scr i j b);
+      scrs = Array.make (enc.cenc.Clock_enc.nclasses + enc.first + 1) None;
       spec = K.Arena.create ();
-      vec_ids =
+      loc_ids =
         Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state 64;
-      vecs = Hashtbl.create 64;
+      locs = Hashtbl.create 64;
+      layouts = Hashtbl.create 16;
     }
 
-  let enabled_vec enc ctx s =
-    let id = match Hstore.add ctx.vec_ids s with `Added i | `Present i -> i in
-    match Hashtbl.find_opt ctx.vecs id with
-    | Some v -> v
+  (* The scratches of one dimension, created on first use.  The slot
+     map's fixed entries are set once: the reference clock copies the
+     reference clock, and the observer clock copies the observer
+     clock. *)
+  let scr enc ctx dim =
+    match ctx.scrs.(dim) with
+    | Some d -> d
+    | None ->
+        let src = K.Scratch.create dim in
+        let map = Array.make dim 0 in
+        if enc.first > y then map.(y) <- y;
+        let d =
+          {
+            src;
+            sat = (fun i j b -> K.Scratch.sat src i j b);
+            dst = K.Scratch.create dim;
+            map;
+          }
+        in
+        ctx.scrs.(dim) <- Some d;
+        d
+
+  let layout enc ctx s =
+    let id = match Hstore.add ctx.loc_ids s with `Added i | `Present i -> i in
+    match Hashtbl.find_opt ctx.locs id with
+    | Some l -> l
     | None ->
         let v = Clock_enc.enabled_vec enc.cenc s in
-        Hashtbl.add ctx.vecs id v;
-        v
+        let key =
+          String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
+        in
+        let l =
+          match Hashtbl.find_opt ctx.layouts key with
+          | Some l -> l
+          | None ->
+              let l = make_layout enc v in
+              Hashtbl.add ctx.layouts key l;
+              l
+        in
+        Hashtbl.add ctx.locs id l;
+        l
 
-  (* Load a source zone and apply an action's guard: is the guarded
-     zone nonempty? *)
-  let guard scr z gopt =
-    K.Scratch.load scr z;
+  (* Load a source zone into its dimension's scratch and apply an
+     action's guard: is the guarded zone nonempty?  An action only has
+     successors when its class is enabled, so its clock has a slot. *)
+  let guard d (pre : layout) z gopt ci =
+    K.Scratch.load d.src z;
     (match gopt with
     | None -> ()
-    | Some (x, b) -> K.Scratch.constrain scr 0 x b);
+    | Some b -> K.Scratch.constrain d.src 0 pre.slot.(ci) b);
+    not (K.Scratch.is_empty d.src)
+
+  (* The closure step of time(A,b) on a target scratch that already
+     holds the successor's clocks: the observer clock takes [y_op]; time
+     passes; the [Lt] invariants of the enabled classes are imposed; and
+     the result is widened — LU extrapolation over the layout's bounds
+     by default, classic max-constant when disabled.  Is the successor
+     nonempty? *)
+  let finish enc scr (post : layout) y_op =
+    (if enc.first > y then
+       match y_op with
+       | `Reset -> K.Scratch.reset scr y
+       | `Free -> K.Scratch.free scr y
+       | `Keep -> ());
+    K.Scratch.up scr;
+    for k = enc.first to post.dim - 1 do
+      match enc.uppers.(post.cls.(k)) with
+      | Some b -> K.Scratch.constrain scr k 0 b
+      | None -> ()
+    done;
+    if enc.lu then
+      K.Scratch.extrapolate_lu ~lower:post.lower ~upper:post.upper scr
+    else K.Scratch.extrapolate enc.max_const scr;
     not (K.Scratch.is_empty scr)
 
-  (* The closure step of time(A,b) on a scratch that holds the
-     guard-constrained source zone.  Classes the step newly enables —
-     and the fired class [ci] when it stays enabled — are reset;
-     disabled ones are released ([Ft = 0], [Lt = inf]: the clock is
-     freed); the observer clock takes [y_op]; time passes; the [Lt]
-     invariants of the enabled classes are imposed; and the result is
-     widened — LU extrapolation by default, classic max-constant when
-     disabled.  Is the successor nonempty?  Every zone the engine makes
-     comes out of here: the sequential path, the speculative workers,
-     and the initial zones ([~pre:v0 ~post:v0 ~ci:(-1)]), so
-     [zones.stored] stays identical by construction whatever the kernel
-     or domain count. *)
-  let step enc scr ~pre ~post ~ci y_op =
-    let nclasses = enc.cenc.Clock_enc.nclasses in
-    for i = 0 to nclasses - 1 do
-      if post.(i) then begin
-        if ci = i || not pre.(i) then K.Scratch.reset scr (i + 1)
-      end
-      else K.Scratch.free scr (i + 1)
+  (* One edge from the guard-constrained source scratch [src] (layout
+     [pre]) to layout [post]: remap onto the target's clocks — a class
+     keeps its clock when it stays enabled and did not fire ([ci]);
+     the fired class and newly enabled ones start at 0; disabled ones
+     are dropped — then [finish].  Every zone the engine makes comes
+     out of [finish]: the sequential path, the speculative workers and
+     the initial zones, so [zones.stored] stays identical by
+     construction whatever the kernel or domain count.  [d] holds the
+     scratches of [post]'s dimension; the successor lands in [d.dst]. *)
+  let step enc d ~src ~(pre : layout) ~(post : layout) ~ci y_op =
+    let map = d.map in
+    for k = enc.first to post.dim - 1 do
+      let c = post.cls.(k) in
+      map.(k) <- (if c = ci then 0 else pre.slot.(c))
     done;
-    (match (enc.y, y_op) with
-    | Some y, `Reset -> K.Scratch.reset scr y
-    | Some y, `Free -> K.Scratch.free scr y
-    | Some _, `Keep | None, _ -> ());
-    K.Scratch.up scr;
-    for i = 0 to nclasses - 1 do
-      if post.(i) then
-        match enc.uppers.(i) with
-        | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-        | None -> ()
-    done;
-    (match enc.lu with
-    | Some (lower, upper) -> K.Scratch.extrapolate_lu ~lower ~upper scr
-    | None -> K.Scratch.extrapolate enc.max_const scr);
-    not (K.Scratch.is_empty scr)
+    K.Scratch.remap ~src map ~dst:d.dst;
+    finish enc d.dst post y_op
 
   (* ---------------- the frontier ---------------- *)
 
@@ -514,17 +603,14 @@ module Make (K : Dbm_sig.S) : S = struct
         add_interned fr s p z
     | `Miss z -> add_interned fr s p z
 
-  (* Sequential path and seeding: run the step on the main context's
-     scratch and store the survivor straight from it — a hit never
-     copies the matrix at all. *)
-  let step_and_store fr ctx ~pre ~post ~ci y_op s p =
-    let scr = ctx.scr in
-    if step fr.enc scr ~pre ~post ~ci y_op then begin
-      let h = K.Scratch.hash scr in
-      intern_store fr ~hash:h ~equal:(K.Scratch.equal_zone scr)
-        ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h fr.arena scr)
-        s p
-    end
+  (* Sequential path and seeding: store a surviving successor straight
+     from the main context's target scratch — a hit never copies the
+     matrix at all. *)
+  let store_scratch fr scr s p =
+    let h = K.Scratch.hash scr in
+    intern_store fr ~hash:h ~equal:(K.Scratch.equal_zone scr)
+      ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h fr.arena scr)
+      s p
 
   (* ---------------- telemetry ---------------- *)
 
@@ -738,38 +824,45 @@ module Make (K : Dbm_sig.S) : S = struct
   (* ---------------- expansion ---------------- *)
 
   let expand fr ctx s p pre z =
+    let enc = fr.enc in
+    let src = scr enc ctx pre.dim in
     Array.iter
       (fun (act, gopt, ci) ->
         List.iter
           (fun s' ->
             count_edge fr;
-            if guard ctx.scr z gopt then
-              match fr.observe p s act s' ~sat:ctx.sat with
+            if guard src pre z gopt ci then
+              match fr.observe p s act s' ~sat:src.sat with
               | Error m -> raise (Answer (Unsupported_shape m))
               | Ok (p', y_op) ->
-                  step_and_store fr ctx ~pre ~post:(enabled_vec fr.enc ctx s')
-                    ~ci y_op s' p')
-          (fr.enc.cenc.Clock_enc.aut.Ioa.delta s act))
-      fr.enc.guards
+                  let post = layout enc ctx s' in
+                  let d = scr enc ctx post.dim in
+                  if step enc d ~src:src.src ~pre ~post ~ci y_op then
+                    store_scratch fr d.dst s' p')
+          (enc.cenc.Clock_enc.aut.Ioa.delta s act))
+      enc.guards
 
   (* Parallel path: the successors of one (entry, guard) pair, computed
      on a worker domain's context and recorded instead of committed.
      Exceptions from [observe] (violation witnesses use local
      exceptions) are captured and re-raised at the commit point. *)
   let speculate fr ctx s p pre z (act, gopt, ci) =
+    let enc = fr.enc in
+    let src = scr enc ctx pre.dim in
     List.map
       (fun s' ->
-        if not (guard ctx.scr z gopt) then `Skip
+        if not (guard src pre z gopt ci) then `Skip
         else
-          match fr.observe p s act s' ~sat:ctx.sat with
+          match fr.observe p s act s' ~sat:src.sat with
           | exception ex -> `Raised ex
           | Error m -> `Unsup m
           | Ok (p', y_op) ->
-              let post = enabled_vec fr.enc ctx s' in
-              if step fr.enc ctx.scr ~pre ~post ~ci y_op then
-                `Succ (s', p', K.Scratch.freeze_into ctx.spec ctx.scr)
+              let post = layout enc ctx s' in
+              let d = scr enc ctx post.dim in
+              if step enc d ~src:src.src ~pre ~post ~ci y_op then
+                `Succ (s', p', K.Scratch.freeze_into ctx.spec d.dst)
               else `Dead)
-      (fr.enc.cenc.Clock_enc.aut.Ioa.delta s act)
+      (enc.cenc.Clock_enc.aut.Ioa.delta s act)
 
   (* Sequential-order replay of one speculated edge.  The speculated
      zone lives in its worker's arena: it is probed where it is, and
@@ -827,7 +920,7 @@ module Make (K : Dbm_sig.S) : S = struct
     Hashtbl.remove fr.pending id;
     let s, p = Hstore.key_of_id fr.store id in
     let ctx0 = ctx fr 0 in
-    let pre = enabled_vec fr.enc ctx0 s in
+    let pre = layout fr.enc ctx0 s in
     fr.batch_loc <- id;
     fr.batch_left <- batch;
     let expand_entry =
@@ -849,19 +942,18 @@ module Make (K : Dbm_sig.S) : S = struct
        work — rewind the speculation arenas. *)
     Array.iter (function Some c -> K.Arena.reset c.spec | None -> ()) fr.ctxs
 
-  (* The initial zones: the step from the all-zero zone with every
-     enabled class kept, the observer clock freed while idle. *)
+  (* The initial zones: every enabled class's clock at 0, the observer
+     clock freed while idle, then [finish]. *)
   let seed fr ~initial_phase =
     let ctx0 = ctx fr 0 in
-    let z_init = K.zero fr.enc.nclocks in
     List.iter
       (fun s0 ->
-        K.Scratch.load ctx0.scr z_init;
-        let v0 = enabled_vec fr.enc ctx0 s0 in
+        let post = layout fr.enc ctx0 s0 in
+        let d = scr fr.enc ctx0 post.dim in
+        K.Scratch.load d.dst (K.zero post.dim);
         let p0 = initial_phase s0 in
-        step_and_store fr ctx0 ~pre:v0 ~post:v0 ~ci:(-1)
-          (if p0 = Idle then `Free else `Keep)
-          s0 p0)
+        if finish fr.enc d.dst post (if p0 = Idle then `Free else `Keep) then
+          store_scratch fr d.dst s0 p0)
       fr.enc.cenc.Clock_enc.aut.Ioa.start
 
   (* How one exploration ended. *)
@@ -986,7 +1078,7 @@ module Make (K : Dbm_sig.S) : S = struct
   let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume
       (a : ('s, 'a) Ioa.t) bm =
     Tracing.with_span "zones.reachable" ~args:(span_args domains) @@ fun () ->
-    let enc = make_enc a bm ~with_observer:false ~cond_bounds:None in
+    let enc = make_enc a bm ~cond_bounds:None in
     match
       run ?limit ?deadline_s ?domains ?checkpoint ?resume ~kind:"reachable" bm
         enc ~initial_phase:(fun _ -> Idle) ~observe:keep_phase
@@ -1006,7 +1098,7 @@ module Make (K : Dbm_sig.S) : S = struct
       ?resume (a : (s, _) Ioa.t) bm pred =
     Tracing.with_span "zones.check_state_invariant" ~args:(span_args domains)
     @@ fun () ->
-    let enc = make_enc a bm ~with_observer:false ~cond_bounds:None in
+    let enc = make_enc a bm ~cond_bounds:None in
     let exception Found of s in
     match
       run ?limit ?deadline_s ?domains ?checkpoint ?resume ~kind:"invariant" bm
@@ -1024,10 +1116,7 @@ module Make (K : Dbm_sig.S) : S = struct
     Tracing.with_span "zones.check_condition"
       ~args:(("cond", c.Condition.cname) :: span_args domains)
     @@ fun () ->
-    let enc =
-      make_enc a bm ~with_observer:true ~cond_bounds:(Some c.Condition.bounds)
-    in
-    let y = match enc.y with Some y -> y | None -> assert false in
+    let enc = make_enc a bm ~cond_bounds:(Some c.Condition.bounds) in
     let bl = Interval.lo c.Condition.bounds in
     let bu = Interval.hi c.Condition.bounds in
     let check_lower = Rational.sign bl > 0 in

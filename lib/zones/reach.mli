@@ -2,12 +2,20 @@
     timing-condition monitors.
 
     This is the classic MMT-automaton encoding into a (diagonal-free)
-    clock automaton: one clock per partition class, reset whenever the
-    class fires or becomes (re-)enabled; an action of class [C] is
-    guarded by [x_C >= b_l(C)]; every location carries the invariant
-    [x_C <= b_u(C)] for each enabled class.  Zones are explored as
-    DBMs with extrapolation and inclusion subsumption — exact
-    verification, no time discretization.
+    clock automaton: one clock per enabled partition class, reset
+    whenever the class fires or becomes (re-)enabled; an action of
+    class [C] is guarded by [x_C >= b_l(C)]; every location carries the
+    invariant [x_C <= b_u(C)] for each enabled class.  A class that is
+    not enabled has [Ft = 0] and [Lt = inf] in [time(A,b)], so it
+    carries no timing information and has no clock: each discrete
+    location's DBM holds the reference clock, the observer clock (at
+    the fixed index 1, when a condition is checked) and its enabled
+    classes in class-index order (its {e slot map}).  A step remaps the
+    source zone onto the target's slots — a projection plus fresh
+    clocks at 0, no re-closure — instead of freeing every disabled
+    class's clock (active-clock reduction, Daws & Yovine, RTSS 1996).
+    Zones are explored as DBMs with extrapolation and inclusion
+    subsumption — exact verification, no time discretization.
 
     {b Widening.}  Zones are widened with LU-bound extrapolation: each
     clock carries the largest constant it is compared against from
@@ -17,10 +25,12 @@
     discarded.  LU is coarser than the classic max-constant widening —
     the zone graph is smaller, often dramatically so on systems like
     fischer — while verdicts are unchanged, because the per-clock
-    bounds dominate every constraint and probe the engine evaluates.  A
-    clock compared against nothing on a side is unbounded there, which
-    erases inactive clocks from zones entirely (clock-activity
-    reduction).  The widening is applied uniformly by all kernels and
+    bounds dominate every constraint and probe the engine evaluates.
+    The bounds are per slot, one pair of arrays per distinct set of
+    enabled classes.  A clock compared against nothing on a side is
+    unbounded there, which wipes its entries on that side (the
+    observer clock while no probe reads it).  The widening is applied
+    uniformly by all kernels and
     on the sequential, speculative and seeding paths, so [zones.stored]
     stays kernel- and domain-independent.  Setting [TM_NO_LU=1] in the
     environment falls back to max-constant extrapolation (verdicts must

@@ -106,6 +106,11 @@ type dbm_op =
   | Intersect of dbm_constraint list
       (** intersect with [top] refined by these constraints *)
   | Extrapolate of int  (** max constant *)
+  | Remap of int list
+      (** raw slot map of the clocks after the reference: the applier
+          takes each entry [mod nclocks] and turns a repeated source
+          clock into [0], so the map drops clocks, copies clock 0, and
+          changes the dimension to [1 + length] *)
 
 type dbm_script = { ds_clocks : int; ds_ops : dbm_op list }
 
@@ -117,6 +122,10 @@ let dbm_constraint : dbm_constraint QCheck2.Gen.t =
       (quad (int_range 0 4) (int_range 0 4) (int_range (-12) 12)
          (pair (int_range 1 4) bool)))
 
+let remap_op : dbm_op QCheck2.Gen.t =
+  QCheck2.Gen.(
+    map (fun l -> Remap l) (list_size (int_range 1 4) (int_range 0 6)))
+
 let dbm_op : dbm_op QCheck2.Gen.t =
   QCheck2.Gen.(
     frequency
@@ -127,6 +136,7 @@ let dbm_op : dbm_op QCheck2.Gen.t =
         (2, map (fun x -> Free x) (int_range 0 4));
         (1, map (fun cs -> Intersect cs) (list_size (int_range 0 3) dbm_constraint));
         (1, map (fun m -> Extrapolate m) (int_range 0 6));
+        (1, remap_op);
       ])
 
 let dbm_script : dbm_script QCheck2.Gen.t =
@@ -135,6 +145,33 @@ let dbm_script : dbm_script QCheck2.Gen.t =
       (fun ds_clocks ds_ops -> { ds_clocks; ds_ops })
       (int_range 2 5)
       (list_size (int_range 1 25) dbm_op))
+
+(* A raw [Remap] as a slot map over [n] source clocks: entry 0 is the
+   reference clock, each raw entry is taken [mod n], and a source clock
+   that is already kept becomes [0] (a fresh clock), so the kept clocks
+   are distinct — the shape of the zone engine's slot maps. *)
+let norm_map n raw =
+  let used = Array.make n false in
+  Array.of_list
+    (0
+    :: List.map
+         (fun r ->
+           let c = r mod n in
+           if c = 0 || used.(c) then 0
+           else begin
+             used.(c) <- true;
+             c
+           end)
+         raw)
+
+(* [Scratch.remap] as a persistent operation: load, remap, freeze. *)
+let remap_zone (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
+    (z : z) map =
+  let src = K.Scratch.create (K.dim z) in
+  let dst = K.Scratch.create (Array.length map) in
+  K.Scratch.load src z;
+  K.Scratch.remap ~src map ~dst;
+  K.Scratch.freeze dst
 
 let print_dbm_constraint c =
   Printf.sprintf "x%d-x%d %s %d/%d" c.ci c.cj
@@ -150,6 +187,8 @@ let print_dbm_op = function
       Printf.sprintf "intersect[%s]"
         (String.concat "; " (List.map print_dbm_constraint cs))
   | Extrapolate m -> Printf.sprintf "extrapolate %d" m
+  | Remap l ->
+      Printf.sprintf "remap[0;%s]" (String.concat ";" (List.map string_of_int l))
 
 let print_dbm_script s =
   Printf.sprintf "clocks=%d: %s" s.ds_clocks
@@ -178,6 +217,7 @@ let int_dbm_op : dbm_op QCheck2.Gen.t =
             (fun cs -> Intersect cs)
             (list_size (int_range 0 3) int_dbm_constraint) );
         (1, map (fun m -> Extrapolate m) (int_range 0 6));
+        (1, remap_op);
       ])
 
 let int_dbm_script : dbm_script QCheck2.Gen.t =

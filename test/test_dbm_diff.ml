@@ -46,12 +46,29 @@ let snapshot (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) (z : z)
     let n = K.dim z in
     Some (Array.init (n * n) (fun k -> K.get z (k / n) (k mod n)))
 
-(* Interpret a script with the persistent API of any kernel. *)
+(* Inclusion verdicts over every ordered pair of snapshots; a pair of
+   different dimensions (a remap lies between them) reads [false]. *)
+let inclusions (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
+    (zones : z array) =
+  let incl = ref [] in
+  for i = Array.length zones - 1 downto 0 do
+    for j = Array.length zones - 1 downto 0 do
+      incl :=
+        (K.dim zones.(i) = K.dim zones.(j) && K.includes zones.(i) zones.(j))
+        :: !incl
+    done
+  done;
+  !incl
+
+(* Interpret a script with the persistent API of any kernel.  A remap,
+   which only the Scratch API has, goes through a pair of scratches and
+   changes the dimension the following ops normalize against. *)
 let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     (s : Gen.dbm_script) : trace =
-  let n = s.Gen.ds_clocks in
+  let n0 = s.Gen.ds_clocks in
   let snap = snapshot (module K) in
   let step (z : z) op =
+    let n = K.dim z in
     match op with
     | Gen.Constrain c ->
         let i, j, b = norm_constraint n c in
@@ -69,6 +86,7 @@ let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
         in
         (K.intersect z other, None)
     | Gen.Extrapolate m -> (K.extrapolate (Rational.of_int m) z, None)
+    | Gen.Remap raw -> (Gen.remap_zone (module K) z (Gen.norm_map n raw), None)
   in
   let _, zones_rev, empties, mats, sats =
     List.fold_left
@@ -79,33 +97,29 @@ let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
           K.is_empty z' :: es,
           snap z' :: ms,
           match sat with Some v -> v :: ss | None -> ss ))
-      (K.top n, [], [], [], [])
+      (K.top n0, [], [], [], [])
       s.Gen.ds_ops
   in
   let zones = Array.of_list (List.rev zones_rev) in
-  let incl = ref [] in
-  for i = Array.length zones - 1 downto 0 do
-    for j = Array.length zones - 1 downto 0 do
-      incl := K.includes zones.(i) zones.(j) :: !incl
-    done
-  done;
   {
     empties = List.rev empties;
     mats = List.rev mats;
     sats = List.rev sats;
-    incl = !incl;
+    incl = inclusions (module K) zones;
   }
 
 (* Interpret the same script with a kernel's destructive Scratch API
    (intersect round-trips through freeze, the one operation Scratch
-   does not provide). *)
+   does not provide).  A remap moves the script onto a fresh scratch of
+   the target dimension. *)
 let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     (s : Gen.dbm_script) : trace =
-  let n = s.Gen.ds_clocks in
+  let n0 = s.Gen.ds_clocks in
   let module Sc = K.Scratch in
-  let scr = Sc.create n in
-  Sc.load scr (K.top n);
+  let cur = ref (Sc.create n0, n0) in
+  Sc.load (fst !cur) (K.top n0);
   let step op =
+    let scr, n = !cur in
     match op with
     | Gen.Constrain c ->
         let i, j, b = norm_constraint n c in
@@ -134,12 +148,18 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     | Gen.Extrapolate m ->
         Sc.extrapolate (Rational.of_int m) scr;
         None
+    | Gen.Remap raw ->
+        let map = Gen.norm_map n raw in
+        let dst = Sc.create (Array.length map) in
+        Sc.remap ~src:scr map ~dst;
+        cur := (dst, Array.length map);
+        None
   in
   let zones_rev, empties, mats, sats =
     List.fold_left
       (fun (zs, es, ms, ss) op ->
         let sat = step op in
-        let z = Sc.freeze scr in
+        let z = Sc.freeze (fst !cur) in
         ( z :: zs,
           K.is_empty z :: es,
           snapshot (module K) z :: ms,
@@ -148,17 +168,11 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
       s.Gen.ds_ops
   in
   let zones = Array.of_list (List.rev zones_rev) in
-  let incl = ref [] in
-  for i = Array.length zones - 1 downto 0 do
-    for j = Array.length zones - 1 downto 0 do
-      incl := K.includes zones.(i) zones.(j) :: !incl
-    done
-  done;
   {
     empties = List.rev empties;
     mats = List.rev mats;
     sats = List.rev sats;
-    incl = !incl;
+    incl = inclusions (module K) zones;
   }
 
 let mats_equal a b =
@@ -204,6 +218,115 @@ let script_diff_int_scratch =
       traces_equal
         (run_scratch (module Dbm_int) s)
         (run_persistent (module Dbm_int) s))
+
+(* The full-width reading of a remap, on the reference kernel: give
+   every fresh target clock its own extra clock, reset those, free every
+   source clock the map drops, and read the result through the clocks
+   that carry the target's.  A remap must equal this projection entry by
+   entry — which is what lets the zone engine drop a disabled class's
+   clock instead of freeing it. *)
+let remap_by_projection (z : Dbm_ref.t) map =
+  let n = Dbm_ref.dim z and m = Array.length map in
+  let carrier = Array.make m 0 in
+  let w = ref n in
+  for j = 1 to m - 1 do
+    if map.(j) = 0 then begin
+      carrier.(j) <- !w;
+      incr w
+    end
+    else carrier.(j) <- map.(j)
+  done;
+  (* [z] embedded into [w] clocks, the extra ones unconstrained *)
+  let big = ref (Dbm_ref.top !w) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then
+        match Dbm_ref.get z i j with
+        | Bnd.Inf -> ()
+        | b -> big := Dbm_ref.constrain !big i j b
+    done
+  done;
+  for x = n to !w - 1 do
+    big := Dbm_ref.reset !big x
+  done;
+  for x = 1 to n - 1 do
+    if not (Array.mem x map) then big := Dbm_ref.free !big x
+  done;
+  (Dbm_ref.is_empty z, fun i j -> Dbm_ref.get !big carrier.(i) carrier.(j))
+
+(* The last zone of an integral script on the reference kernel (always
+   canonical), remapped by a random slot map on every kernel. *)
+let remap_is_projection =
+  Gen.check_holds
+    "remap: int == fast == ref == full-width reset+free projected onto \
+     kept clocks"
+    ~count:300
+    ~print:(fun (s, raw) ->
+      Printf.sprintf "%s then remap[0;%s]" (Gen.print_dbm_script s)
+        (String.concat ";" (List.map string_of_int raw)))
+    QCheck2.Gen.(
+      pair Gen.int_dbm_script (list_size (int_range 1 5) (int_range 0 6)))
+    (fun (s, raw) ->
+      let z =
+        List.fold_left
+          (fun z op ->
+            let n = Dbm_ref.dim z in
+            match op with
+            | Gen.Constrain c ->
+                let i, j, b = norm_constraint n c in
+                Dbm_ref.constrain z i j b
+            | Gen.Up -> Dbm_ref.up z
+            | Gen.Reset x -> Dbm_ref.reset z (norm_clock n x)
+            | Gen.Free x -> Dbm_ref.free z (norm_clock n x)
+            | Gen.Intersect cs ->
+                Dbm_ref.intersect z
+                  (List.fold_left
+                     (fun acc c ->
+                       let i, j, b = norm_constraint n c in
+                       Dbm_ref.constrain acc i j b)
+                     (Dbm_ref.top n) cs)
+            | Gen.Extrapolate m -> Dbm_ref.extrapolate (Rational.of_int m) z
+            | Gen.Remap r ->
+                Gen.remap_zone (module Dbm_ref) z (Gen.norm_map n r))
+          (Dbm_ref.top s.Gen.ds_clocks) s.Gen.ds_ops
+      in
+      let map = Gen.norm_map (Dbm_ref.dim z) raw in
+      let m = Array.length map in
+      let empty, want = remap_by_projection z map in
+      let agrees (type k) (module K : Tm_zones.Dbm_sig.S with type t = k)
+          (zk : k) =
+        let r = Gen.remap_zone (module K) zk map in
+        K.dim r = m
+        && K.is_empty r = empty
+        && (empty
+           ||
+           let ok = ref true in
+           for i = 0 to m - 1 do
+             for j = 0 to m - 1 do
+               if Bnd.compare (K.get r i j) (want i j) <> 0 then ok := false
+             done
+           done;
+           !ok)
+      in
+      let rebuild (type k) (module K : Tm_zones.Dbm_sig.S with type t = k) =
+        let n = Dbm_ref.dim z in
+        if Dbm_ref.is_empty z then K.constrain (K.zero n) 1 0 (Bnd.Lt (Gen.q 0))
+        else begin
+          let r = ref (K.top n) in
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              if i <> j then
+                match Dbm_ref.get z i j with
+                | Bnd.Inf -> ()
+                | b -> r := K.constrain !r i j b
+            done
+          done;
+          !r
+        end
+      in
+      agrees (module Dbm_ref) z
+      && agrees (module Dbm) (rebuild (module Dbm))
+      && agrees (module Dbm_int) (rebuild (module Dbm_int)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differential on random boundmap automata.              *)
@@ -368,6 +491,7 @@ let suite =
     script_diff_scratch_vs_persistent;
     script_diff_3way_int;
     script_diff_int_scratch;
+    remap_is_projection;
     fixpoint_diff;
     fixpoint_diff_int_auto;
     budget_diff;

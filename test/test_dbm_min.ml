@@ -36,11 +36,13 @@ let norm_constraint n (c : Gen.dbm_constraint) =
 let norm_clock n x = 1 + (x mod (n - 1))
 
 (* Every zone a script's persistent interpretation passes through,
-   including [top] and any empties. *)
+   including [top] and any empties.  A remap changes the dimension, so
+   every op normalizes against the current zone's. *)
 let zones_of_script (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     (s : Gen.dbm_script) : z list =
-  let n = s.Gen.ds_clocks in
+  let n0 = s.Gen.ds_clocks in
   let step z op =
+    let n = K.dim z in
     match op with
     | Gen.Constrain c ->
         let i, j, b = norm_constraint n c in
@@ -56,13 +58,14 @@ let zones_of_script (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
                K.constrain acc i j b)
              (K.top n) cs)
     | Gen.Extrapolate m -> K.extrapolate (Rational.of_int m) z
+    | Gen.Remap raw -> Gen.remap_zone (module K) z (Gen.norm_map n raw)
   in
   let zs, _ =
     List.fold_left
       (fun (zs, z) op ->
         let z' = step z op in
         (z' :: zs, z'))
-      ([ K.top n ], K.top n)
+      ([ K.top n0 ], K.top n0)
       s.Gen.ds_ops
   in
   List.rev zs
@@ -124,8 +127,8 @@ let roundtrip_int =
       roundtrip (module Dbm_int) s)
 
 (* The sparse probe must equal the dense verdict on every ordered pair
-   of zones a script produces — including empty operands on both
-   sides. *)
+   of same-dimension zones a script produces — including empty
+   operands on both sides. *)
 let subsumes_agrees (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     s =
   let zs = Array.of_list (zones_of_script (module K) s) in
@@ -134,7 +137,9 @@ let subsumes_agrees (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     (fun zi ->
       let m = K.Min.of_zone zi in
       Array.iter
-        (fun zj -> if K.Min.subsumes m zj <> K.includes zi zj then ok := false)
+        (fun zj ->
+          if K.dim zi = K.dim zj && K.Min.subsumes m zj <> K.includes zi zj
+          then ok := false)
         zs)
     zs;
   !ok

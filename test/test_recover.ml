@@ -535,6 +535,49 @@ let resume_rejects_wrong_job () =
         "message names both jobs" true
         (String.length m > 0)
 
+(* A snapshot written under the previous encoding, whose zones all had
+   one full-width dimension, names its job [tmjob1|...|nclocks=N|...].
+   Its frontier must be refused through the fingerprint check and never
+   unmarshalled: here the payload is a genuine current frontier, so only
+   the fingerprint stands between it and a resume. *)
+let resume_rejects_tmjob1 () =
+  let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p in
+  let ck = tmp_ck () in
+  Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+  (match Reach.Int.reachable ~limit:4 ~checkpoint:(ck, 0) sys bm with
+  | _ -> Alcotest.fail "limit 4 should exhaust"
+  | exception Reach.Out_of_budget _ -> ());
+  let fp, info, payload = Snapshot.read ck in
+  let old_fp =
+    String.split_on_char '|' fp
+    |> List.map (fun field ->
+           match String.split_on_char '=' field with
+           | [ "tmjob2" ] -> "tmjob1"
+           | [ "nclasses"; k ] ->
+               Printf.sprintf "nclocks=%d" (int_of_string k + 1)
+           | _ -> field)
+    |> String.concat "|"
+  in
+  Alcotest.(check bool)
+    "old-format fingerprint" true
+    (String.length old_fp > 7 && String.sub old_fp 0 7 = "tmjob1|");
+  Snapshot.write ~path:ck ~fingerprint:old_fp ~info payload;
+  let r0 = Metrics.value c_resumed in
+  let contains m sub =
+    let n = String.length m and k = String.length sub in
+    let rec go i = i + k <= n && (String.sub m i k = sub || go (i + 1)) in
+    go 0
+  in
+  (match Reach.Int.reachable ~resume:ck sys bm with
+  | _ -> Alcotest.fail "tmjob1 snapshot resumed"
+  | exception Snapshot.Bad_snapshot m ->
+      Alcotest.(check bool)
+        "message names both jobs" true
+        (contains m "different job" && contains m old_fp && contains m fp));
+  Alcotest.(check int) "nothing resumed" r0 (Metrics.value c_resumed);
+  Alcotest.(check bool) "snapshot left in place" true (Sys.file_exists ck)
+
 (* ------------------------------------------------------------------ *)
 (* Paranoid self-checking kernel.                                      *)
 
@@ -662,6 +705,8 @@ let suite =
       `Quick verdict_removes_checkpoint;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
+    Alcotest.test_case "resume: tmjob1 snapshot refused, never resumed"
+      `Quick resume_rejects_tmjob1;
     Alcotest.test_case "paranoid: clean run agrees with fast" `Quick
       paranoid_clean_agrees;
     Alcotest.test_case "paranoid: injected corruption detected, degraded"
